@@ -15,7 +15,7 @@ import re
 from typing import Sequence
 
 from . import groups
-from .errors import ParseError, SizeLimitError, ValidationError
+from .errors import ParseError, SizeLimitError, ValidationError, split_lines
 from .groups import GroupTable
 
 HEISENBERG_PRIMES = (3, 5, 7)
@@ -30,11 +30,18 @@ BUILTIN_NAMES = {
 }
 
 
+def _check_order(family: str, order: int) -> None:
+    # Checked before the order^2 table is allocated.
+    if order > groups.DEFAULT_MAX_ORDER:
+        raise SizeLimitError(f"{family} order {order} exceeds maximum {groups.DEFAULT_MAX_ORDER}")
+
+
 def _cyclic(n: int) -> GroupTable:
     if n < 1:
         raise ValidationError("cyclic order must be >= 1")
+    _check_order("cyclic", n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return groups.from_cayley_table(table, name=f"C{n}", check_assoc=False)
+    return groups.from_cayley_table(table, name=f"C{n}")
 
 
 def _dihedral(n: int) -> GroupTable:
@@ -42,6 +49,7 @@ def _dihedral(n: int) -> GroupTable:
     if n < 1:
         raise ValidationError("dihedral parameter must be >= 1")
     size = 2 * n
+    _check_order("dihedral", size)
     table = [[0] * size for _ in range(size)]
     for i in range(n):
         for j in range(n):
@@ -49,7 +57,7 @@ def _dihedral(n: int) -> GroupTable:
             table[i][n + j] = n + (i + j) % n          # r^i * r^j s
             table[n + i][j] = n + (i - j) % n          # r^i s * r^j
             table[n + i][n + j] = (i - j) % n          # r^i s * r^j s
-    return groups.from_cayley_table(table, name=f"D{n}", check_assoc=False if size > 128 else None)
+    return groups.from_cayley_table(table, name=f"D{n}")
 
 
 def _symmetric(n: int) -> GroupTable:
@@ -117,7 +125,7 @@ def _heisenberg(p: int) -> GroupTable:
                         base = ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p
                         for c2 in range(p):
                             row[a2 * p * p + b2 * p + c2] = base + (cc + c2) % p
-    return groups.from_cayley_table(table, name=f"Heis{p}", check_assoc=False if n > 128 else None)
+    return groups.from_cayley_table(table, name=f"Heis{p}")
 
 
 def builtin(name: str, params: Sequence[int] = ()) -> GroupTable:
@@ -171,13 +179,6 @@ def resolve_groupspec(spec: str, max_order: int = groups.DEFAULT_MAX_ORDER) -> G
     return result
 
 
-def _strip(line: str) -> str:
-    hash_pos = line.find("#")
-    if hash_pos >= 0:
-        line = line[:hash_pos]
-    return line.strip()
-
-
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -208,14 +209,7 @@ def parse_cycles(text: str, degree: int, source: str = "<input>", line: int = 0)
 
 
 def parse_group_text(text: str, source: str = "<input>") -> GroupTable:
-    lines = text.splitlines()
-    items = [(i + 1, _strip(raw)) for i, raw in enumerate(lines)]
-    items = [(no, s) for no, s in items if s]
-    if not items:
-        raise ParseError("empty group file", source, 1, 1)
-
-    no, header = items[0]
-    parts = header.split()
+    no, parts, body = split_lines(text, "group", source)
     if len(parts) != 2 or parts[0] not in ("perm", "table"):
         raise ParseError("expected header 'perm <degree>' or 'table <n>'", source, no, 1)
     try:
@@ -225,7 +219,6 @@ def parse_group_text(text: str, source: str = "<input>") -> GroupTable:
     if size < 1:
         raise ParseError("size must be >= 1", source, no, len(parts[0]) + 2)
 
-    body = items[1:]
     if parts[0] == "perm":
         gens = []
         for no, s in body:

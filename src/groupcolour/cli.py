@@ -222,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--porcelain", action="store_true",
                         help="stable machine-readable key=value output only")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker cap (results are identical for any value)")
 
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -288,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     out = _Out(porcelain=args.porcelain)
     try:
         return args.func(args, out)

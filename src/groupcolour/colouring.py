@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import CoverError, ParseError, ValidationError
+from .errors import CoverError, ParseError, ValidationError, split_lines
 from .groups import ElementSet, GroupTable
 from .stats import is_abelian
 
@@ -233,28 +233,15 @@ def random_cover(g: GroupTable, k: int, seed: int = 0, overlap: float = 0.0) -> 
     return Cover.of(n, [ElementSet(n, b) for b in masks])
 
 
-def _strip(line: str) -> str:
-    pos = line.find("#")
-    if pos >= 0:
-        line = line[:pos]
-    return line.strip()
-
-
 def parse_cover_text(text: str, source: str = "<input>") -> Cover:
     """Parse the cover format: "cover <k> <n>" then k index-list lines."""
-    items = [(i + 1, _strip(raw)) for i, raw in enumerate(text.splitlines())]
-    items = [(no, s) for no, s in items if s]
-    if not items:
-        raise ParseError("empty cover file", source, 1, 1)
-    no, header = items[0]
-    parts = header.split()
+    no, parts, body = split_lines(text, "cover", source)
     if len(parts) != 3 or parts[0] != "cover":
         raise ParseError("expected header 'cover <k> <n>'", source, no, 1)
     try:
         k, n = int(parts[1]), int(parts[2])
     except ValueError:
         raise ParseError("non-integer sizes in cover header", source, no, 1)
-    body = items[1:]
     if len(body) != k:
         raise ParseError(f"expected {k} class lines, found {len(body)}", source, no, 1)
     classes = []

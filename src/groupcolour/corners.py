@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .colouring import Cover, count_quadruples
-from .errors import CoverError, ParseError
+from .errors import CoverError, ParseError, split_lines
 from .groups import GroupTable
 
 DEFAULT_TRIALS = 32
@@ -114,21 +114,6 @@ def corner_counts_by_z(g: GroupTable, a: PairSet) -> list[int]:
 def corner_statistic(g: GroupTable, a: PairSet) -> Fraction:
     n = g.order
     return Fraction(sum(corner_counts_by_z(g, a)), n ** 3)
-
-
-def naive_corner_count(g: GroupTable, a: PairSet) -> int:
-    """Plain triple loop; the independent oracle for the bit-parallel path."""
-    n = g.order
-    mul = g.mul
-    count = 0
-    for x in range(n):
-        for y in range(n):
-            if (x, y) not in a:
-                continue
-            for z in range(n):
-                if (mul[z][x], y) in a and (x, mul[y][z]) in a:
-                    count += 1
-    return count
 
 
 @dataclass(frozen=True)
@@ -378,21 +363,9 @@ def transcript_lines(t: WitnessTranscript) -> list[str]:
     return lines
 
 
-def _strip(line: str) -> str:
-    pos = line.find("#")
-    if pos >= 0:
-        line = line[:pos]
-    return line.strip()
-
-
 def parse_pairs_text(text: str, source: str = "<input>") -> PairSet:
     """Parse the pairs format: "pairs <n>" then one "x y" line per pair."""
-    items = [(i + 1, _strip(raw)) for i, raw in enumerate(text.splitlines())]
-    items = [(no, s) for no, s in items if s]
-    if not items:
-        raise ParseError("empty pairs file", source, 1, 1)
-    no, header = items[0]
-    parts = header.split()
+    no, parts, body = split_lines(text, "pairs", source)
     if len(parts) != 2 or parts[0] != "pairs":
         raise ParseError("expected header 'pairs <n>'", source, no, 1)
     try:
@@ -400,7 +373,7 @@ def parse_pairs_text(text: str, source: str = "<input>") -> PairSet:
     except ValueError:
         raise ParseError("non-integer size in pairs header", source, no, 1)
     pairs = []
-    for no, s in items[1:]:
+    for no, s in body:
         fields = s.split()
         if len(fields) != 2:
             raise ParseError("expected 'x y' pair line", source, no, 1)

@@ -23,6 +23,24 @@ class ParseError(GroupColourError):
         self.col = col
 
 
+def split_lines(text: str, kind: str, source: str) -> tuple[int, list[str], list[tuple[int, str]]]:
+    """Read a line-oriented file: "#" starts a comment, blank lines are skipped.
+
+    Returns the header's line number, its whitespace-separated fields, and
+    the remaining (line number, stripped text) pairs.  A file with no
+    content raises "empty <kind> file".
+    """
+    items = []
+    for no, raw in enumerate(text.splitlines(), 1):
+        s = raw.split("#", 1)[0].strip()
+        if s:
+            items.append((no, s))
+    if not items:
+        raise ParseError(f"empty {kind} file", source, 1, 1)
+    no, header = items[0]
+    return no, header.split(), items[1:]
+
+
 class CoverError(GroupColourError):
     """A cover is invalid (e.g. its classes do not cover the group)."""
 

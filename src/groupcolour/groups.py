@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import SizeLimitError, ValidationError
 
-DEFAULT_ASSOC_BOUND = 512
 DEFAULT_MAX_ORDER = 5040
 DEFAULT_SUBGROUP_BOUND = 128
 
@@ -141,17 +140,11 @@ class SubgroupList:
         return len(self.subgroups)
 
 
-def from_cayley_table(
-    table: Sequence[Sequence[int]],
-    name: str = "G",
-    assoc_bound: int = DEFAULT_ASSOC_BOUND,
-    check_assoc: bool | None = None,
-) -> GroupTable:
+def from_cayley_table(table: Sequence[Sequence[int]], name: str = "G") -> GroupTable:
     """Validate a multiplication table and return the group it defines.
 
-    Identity and inverses are discovered, not supplied.  Associativity is
-    checked exhaustively when n <= assoc_bound; pass check_assoc=True to
-    force the O(n^3) check for larger tables, or False to skip it.
+    Identity and inverses are discovered, not supplied.  Every table is
+    fully checked for associativity, at any size, by Light's test.
     """
     n = len(table)
     if n == 0:
@@ -185,8 +178,7 @@ def from_cayley_table(
     if identity < 0:
         raise ValidationError("no-identity: no two-sided identity element")
 
-    # Inverses: two-sided (cheap, and meaningful even if the O(n^3)
-    # associativity check is skipped).
+    # Inverses: two-sided.
     inv = []
     for x in range(n):
         y = mul[x].index(identity)
@@ -194,18 +186,30 @@ def from_cayley_table(
             raise ValidationError(f"no-inverse: element {x} has no two-sided inverse")
         inv.append(y)
 
-    do_check = check_assoc if check_assoc is not None else n <= assoc_bound
-    if do_check:
-        m = np.array(mul, dtype=np.int64)
-        for a in range(n):
-            left = m[m[a]]        # left[b, c] = mul[mul[a][b]][c]
-            right = m[a][m]       # right[b, c] = mul[a][mul[b][c]]
-            if not np.array_equal(left, right):
-                b, c = np.argwhere(left != right)[0]
-                raise ValidationError(
-                    f"non-associative triple ({a},{int(b)},{int(c)}): "
-                    f"(ab)c={int(left[b, c])} but a(bc)={int(right[b, c])}"
-                )
+    # Associativity by Light's test.  The table is now a loop, and the
+    # elements b with (ab)c = a(bc) for all a, c form a subloop of it, the
+    # middle nucleus.  Every reached element is a product of checked
+    # generators, so it lies in the subloop they generate, which lies
+    # inside the middle nucleus; once every element is reached, all
+    # triples associate.  The middle nucleus is a group, so the reached
+    # set is a subgroup and each new generator at least doubles it: at
+    # most log2(n) generators are checked, n^2 cells each.
+    m = np.array(mul, dtype=np.min_scalar_type(n))
+    gens: list[int] = []
+    reached = 1 << identity
+    for b in range(n):
+        if (reached >> b) & 1:
+            continue
+        left = m[m[:, b]]         # left[a, c] = mul[mul[a][b]][c]
+        right = m[:, m[b]]        # right[a, c] = mul[a][mul[b][c]]
+        if not np.array_equal(left, right):
+            a, c = np.argwhere(left != right)[0]
+            raise ValidationError(
+                f"non-associative triple ({int(a)},{b},{int(c)}): "
+                f"(ab)c={int(left[a, c])} but a(bc)={int(right[a, c])}"
+            )
+        gens.append(b)
+        reached = _closure(mul, identity, gens)
 
     return GroupTable(order=n, mul=mul, inv=tuple(inv), identity=identity, name=name)
 
@@ -276,7 +280,7 @@ def direct_product(g: GroupTable, h: GroupTable, max_order: int = DEFAULT_MAX_OR
                 hb1 = hmul[b1]
                 for b2 in range(hn):
                     row[a2 * hn + b2] = ga + hb1[b2]
-    return from_cayley_table(table, name=f"{g.name}x{h.name}", check_assoc=False if n > DEFAULT_ASSOC_BOUND else None)
+    return from_cayley_table(table, name=f"{g.name}x{h.name}")
 
 
 def conjugacy(g: GroupTable) -> ConjugacyData:
@@ -310,23 +314,35 @@ def conjugacy(g: GroupTable) -> ConjugacyData:
     )
 
 
+def _closure(mul: Sequence[Sequence[int]], identity: int, gens: Sequence[int]) -> int:
+    """Bit set of all products of gens, by BFS from the identity that
+    multiplies on the right by one generator at a time: O(|H| * #gens)."""
+    mask = 1 << identity
+    queue = [identity]
+    for x in queue:
+        row = mul[x]
+        for s in gens:
+            y = row[s]
+            if not (mask >> y) & 1:
+                mask |= 1 << y
+                queue.append(y)
+    return mask
+
+
 def subgroup_closure(g: GroupTable, generators: Iterable[int]) -> ElementSet:
-    """Subgroup generated by the given elements (finite, so products suffice)."""
-    n = g.order
-    mul = g.mul
+    """Subgroup generated by the given elements.
+
+    In a finite group the products of generators already form the
+    subgroup.  Elements that are products of earlier ones are skipped, so
+    at most log2 |H| generators reach the BFS.
+    """
+    gens: list[int] = []
     mask = 1 << g.identity
-    order = [g.identity]
-    stack = list(generators)
-    while stack:
-        x = stack.pop()
-        if (mask >> x) & 1:
-            continue
-        mask |= 1 << x
-        order.append(x)
-        for m in order:
-            stack.append(mul[x][m])
-            stack.append(mul[m][x])
-    return ElementSet(n, mask)
+    for x in generators:
+        if not (mask >> x) & 1:
+            gens.append(x)
+            mask = _closure(g.mul, g.identity, gens)
+    return ElementSet(g.order, mask)
 
 
 def is_subgroup(g: GroupTable, s: ElementSet) -> bool:

@@ -6,6 +6,7 @@ materialise tuples, loop naively, and enumerate exhaustively.
 
 from itertools import product
 
+from groupcolour.corners import PairSet
 from groupcolour.groups import ElementSet, GroupTable
 
 
@@ -83,3 +84,29 @@ def naive_avoiding_partitions(g: GroupTable, m: int) -> list[list[int]]:
             continue
         results.append(list(assign))
     return results
+
+
+def naive_corner_count(g: GroupTable, a: PairSet) -> int:
+    """Plain triple loop; the independent oracle for the bit-parallel path."""
+    n = g.order
+    mul = g.mul
+    count = 0
+    for x in range(n):
+        for y in range(n):
+            if (x, y) not in a:
+                continue
+            for z in range(n):
+                if (mul[z][x], y) in a and (x, mul[y][z]) in a:
+                    count += 1
+    return count
+
+
+def naive_is_associative(table) -> bool:
+    """(ab)c == a(bc) for every triple, by exhaustive O(n^3) loop."""
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )

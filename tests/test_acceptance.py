@@ -25,7 +25,6 @@ from groupcolour.colouring import (
 from groupcolour.corners import (
     build_tripartite,
     corner_counts_by_z,
-    naive_corner_count,
     random_pairs,
     shifted_pair_set,
     triangle_count,
@@ -41,7 +40,12 @@ from groupcolour.groups import (
 from groupcolour.neumann import build_cover, growth_index
 from groupcolour.stats import commuting_probability
 
-from helpers import naive_avoiding_partitions, naive_commuting_pairs, naive_quadruples
+from helpers import (
+    naive_avoiding_partitions,
+    naive_commuting_pairs,
+    naive_corner_count,
+    naive_quadruples,
+)
 
 import random
 
@@ -267,6 +271,4 @@ def test_acceptance_9_cli_determinism(tmp_path, capfd):
     for argv in commands:
         base = _capture(argv)
         assert _capture(argv) == base
-        for jobs in ("1", "4"):
-            assert _capture(argv + ["--jobs", jobs]) == base
     _report(capfd, 9, "CLI determinism")

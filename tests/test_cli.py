@@ -213,11 +213,12 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:")
 
-    def test_bad_jobs(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["info", "symmetric:3", "--jobs", "0"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize("spec", ["cyclic:100000", "dihedral:50000"])
+    def test_oversized_builtin_is_one(self, capsys, spec):
+        code, out, err = run(capsys, "info", spec, "--porcelain")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "exceeds maximum" in err
 
 
 class TestDeterminism:
@@ -228,9 +229,4 @@ class TestDeterminism:
         argv = ["witness", "symmetric:4", "--cover", str(path), "--porcelain"]
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
-        assert out1 == out2
-
-    def test_jobs_flag_no_effect(self, capsys):
-        _, out1, _ = run(capsys, "schur", "quaternion8", "--porcelain", "--jobs", "1")
-        _, out2, _ = run(capsys, "schur", "quaternion8", "--porcelain", "--jobs", "4")
         assert out1 == out2

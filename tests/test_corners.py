@@ -12,7 +12,6 @@ from groupcolour.corners import (
     corner_statistic,
     dump_pairs,
     load_pairs,
-    naive_corner_count,
     parse_pairs_text,
     random_pairs,
     shifted_pair_set,
@@ -21,6 +20,8 @@ from groupcolour.corners import (
 )
 from groupcolour.errors import CoverError, ParseError
 from groupcolour.groups import ElementSet
+
+from helpers import naive_corner_count
 
 
 def s3():

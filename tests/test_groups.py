@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcolour import catalog
 from groupcolour.errors import SizeLimitError, ValidationError
@@ -16,7 +20,77 @@ from groupcolour.groups import (
     quotient,
 )
 
-from helpers import naive_permutation_closure
+from helpers import naive_is_associative, naive_permutation_closure
+
+# Order-5 Latin square with an identity that is not a group.
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+TRIPLE_RE = re.compile(r"non-associative triple \((\d+),(\d+),(\d+)\): \(ab\)c=(\d+) but a\(bc\)=(\d+)")
+
+
+def assert_reported_triple_fails(table, exc):
+    """The triple named in a non-associative error really fails, as stated."""
+    a, b, c, left, right = (int(v) for v in TRIPLE_RE.search(str(exc)).groups())
+    assert table[table[a][b]][c] == left
+    assert table[a][table[b][c]] == right
+    assert left != right
+
+
+def relabel(table, perm):
+    """The isomorphic table in which element x is called perm[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+@st.composite
+def loops(draw, max_order=7):
+    """Latin squares with a two-sided identity, relabelled at random."""
+    n = draw(st.integers(1, max_order))
+    rng = draw(st.randoms(use_true_random=False))
+    table = [list(range(n))] + [[i] + [-1] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        options = [v for v in range(n) if v not in used]
+        rng.shuffle(options)
+        for v in options:
+            table[i][j] = v
+            if fill(k + 1):
+                return True
+        table[i][j] = -1
+        return False
+
+    assert fill(0)
+    return relabel(table, draw(st.permutations(range(n))))
+
+
+def validator_verdict(table) -> bool:
+    """Whether from_cayley_table accepts a Latin square with an identity.
+
+    Such a square is rejected either for a one-sided inverse, which a
+    group cannot have, or for a located non-associative triple.
+    """
+    try:
+        from_cayley_table(table)
+    except ValidationError as exc:
+        if "no-inverse" not in str(exc):
+            assert_reported_triple_fails(table, exc)
+        return False
+    return True
 
 
 def s3():
@@ -72,16 +146,32 @@ class TestFromCayleyTable:
             from_cayley_table([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
 
     def test_rejects_non_associative(self):
-        # order-5 Latin square with identity that is not a group
-        table = [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ]
         with pytest.raises(ValidationError, match="non-associative"):
+            from_cayley_table(LOOP5)
+
+    def test_rejects_large_non_associative(self):
+        # LOOP5 x C103, order 515: large tables get the same full check.
+        m = 103
+        table = [
+            [LOOP5[a1][a2] * m + (b1 + b2) % m for a2 in range(5) for b2 in range(m)]
+            for a1 in range(5)
+            for b1 in range(m)
+        ]
+        with pytest.raises(ValidationError, match="non-associative") as exc:
             from_cayley_table(table)
+        assert_reported_triple_fails(table, exc.value)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(catalog.catalog_groups(64)), st.data())
+    def test_relabelled_groups_accepted(self, g, data):
+        table = relabel(g.mul, data.draw(st.permutations(range(g.order))))
+        assert naive_is_associative(table)
+        assert validator_verdict(table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(loops())
+    def test_verdict_matches_oracle_on_loops(self, table):
+        assert validator_verdict(table) == naive_is_associative(table)
 
 
 class TestFromPermutations:
