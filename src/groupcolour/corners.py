@@ -22,93 +22,97 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
+import numpy as np
+
 from .colouring import Cover, count_quadruples
 from .errors import CoverError, ParseError, split_lines
-from .groups import GroupTable
+from .groups import DEFAULT_MAX_ORDER, GroupTable
 
 DEFAULT_TRIALS = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairSet:
-    """Subset of G x G as n row bitmasks; row x holds the y-memberships."""
+    """Subset of G x G as a read-only n x n bool matrix: matrix[x, y] is
+    the membership of (x, y)."""
 
-    n: int
-    rows: tuple[int, ...]
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.matrix.dtype != bool or self.matrix.ndim != 2 or (
+                self.matrix.shape[0] != self.matrix.shape[1]):
+            raise ValueError("pair set needs a square bool matrix")
+        self.matrix.flags.writeable = False
 
     @classmethod
     def empty(cls, n: int) -> "PairSet":
-        return cls(n, (0,) * n)
+        return cls(np.zeros((n, n), dtype=bool))
 
     @classmethod
     def full(cls, n: int) -> "PairSet":
-        row = (1 << n) - 1
-        return cls(n, (row,) * n)
+        return cls(np.ones((n, n), dtype=bool))
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "PairSet":
-        rows = [0] * n
+        matrix = np.zeros((n, n), dtype=bool)
         for x, y in pairs:
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"pair ({x},{y}) out of range for n={n}")
-            rows[x] |= 1 << y
-        return cls(n, tuple(rows))
+            matrix[x, y] = True
+        return cls(matrix)
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Row x as an int bitmask over y, the exact integer export."""
+        packed = np.packbits(self.matrix, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PairSet):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.matrix.tobytes()))
+
+    def __and__(self, other: "PairSet") -> "PairSet":
+        return PairSet(self.matrix & other.matrix)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         x, y = pair
-        return (self.rows[x] >> y) & 1 == 1
+        return bool(self.matrix[x, y])
 
     @property
     def size(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
+        return int(np.count_nonzero(self.matrix))
 
     @property
     def density(self) -> Fraction:
         return Fraction(self.size, self.n * self.n)
 
     def pairs(self):
-        for x, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                yield (x, low.bit_length() - 1)
-                row ^= low
+        """Member pairs in row-major order."""
+        xs, ys = np.nonzero(self.matrix)
+        return zip(xs.tolist(), ys.tolist())
 
 
 def random_pairs(n: int, seed: int = 0, density: float = 0.5) -> PairSet:
+    # One rng.random() per cell in row-major order: seeded sets are fixed.
     rng = random.Random(seed)
-    rows = []
-    for _ in range(n):
-        row = 0
-        for y in range(n):
-            if rng.random() < density:
-                row |= 1 << y
-        rows.append(row)
-    return PairSet(n, tuple(rows))
+    draws = np.fromiter(iter(rng.random, None), dtype=np.float64, count=n * n)
+    return PairSet((draws < density).reshape(n, n))
 
 
 def corner_counts_by_z(g: GroupTable, a: PairSet) -> list[int]:
     """For each z, the number of (x, y) with (x,y), (zx,y), (x,yz) in A."""
-    n = g.order
-    mul = g.mul
-    rows = a.rows
-    counts = []
-    for z in range(n):
-        zrow = mul[z]
-        ycol = [mul[y][z] for y in range(n)]
-        total = 0
-        for x in range(n):
-            rx = rows[x]
-            if not rx:
-                continue
-            both = rx & rows[zrow[x]]
-            while both:
-                low = both & -both
-                y = low.bit_length() - 1
-                both ^= low
-                if (rx >> ycol[y]) & 1:
-                    total += 1
-        counts.append(total)
-    return counts
+    m = g.mul_array
+    cells = a.matrix
+    return [int(np.count_nonzero(cells & cells[m[z]] & cells[:, m[:, z]]))
+            for z in range(g.order)]
 
 
 def corner_statistic(g: GroupTable, a: PairSet) -> Fraction:
@@ -116,92 +120,52 @@ def corner_statistic(g: GroupTable, a: PairSet) -> Fraction:
     return Fraction(sum(corner_counts_by_z(g, a)), n ** 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripartiteGraph:
-    """Three copies of G with bipartite adjacencies derived from a PairSet."""
+    """Three copies of G with bipartite adjacencies derived from a PairSet,
+    as n x n bool matrices."""
 
-    n: int
-    e12: tuple[int, ...]  # row x: bits over y
-    e23: tuple[int, ...]  # row y: bits over w
-    e13: tuple[int, ...]  # row x: bits over w
+    e12: np.ndarray  # [x, y]
+    e23: np.ndarray  # [y, w]
+    e13: np.ndarray  # [x, w]
+
+    def __post_init__(self) -> None:
+        for e in (self.e12, self.e23, self.e13):
+            e.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return self.e12.shape[0]
 
     def edge_counts(self) -> tuple[int, int, int]:
-        return (
-            sum(r.bit_count() for r in self.e12),
-            sum(r.bit_count() for r in self.e23),
-            sum(r.bit_count() for r in self.e13),
-        )
+        return tuple(int(np.count_nonzero(e)) for e in (self.e12, self.e23, self.e13))
 
 
 def build_tripartite(g: GroupTable, a: PairSet) -> TripartiteGraph:
     """Adjacency rules: (x,y) iff A(x,y); (y,w) iff A(y^-1 w, y);
     (x,w) iff A(x, w x^-1)."""
-    n = g.order
-    mul, inv = g.mul, g.inv
-    rows = a.rows
-    e12 = rows
-    e23 = []
-    for y in range(n):
-        iy = inv[y]
-        row = 0
-        for w in range(n):
-            if (rows[mul[iy][w]] >> y) & 1:
-                row |= 1 << w
-        e23.append(row)
-    e13 = []
-    for x in range(n):
-        ix = inv[x]
-        rx = rows[x]
-        row = 0
-        for w in range(n):
-            if (rx >> mul[w][ix]) & 1:
-                row |= 1 << w
-        e13.append(row)
-    return TripartiteGraph(n, tuple(e12), tuple(e23), tuple(e13))
+    m = g.mul_array
+    inv = np.array(g.inv)
+    idx = np.arange(g.order)[:, None]
+    cells = a.matrix
+    e23 = cells[m[inv], idx]        # m[inv[y], w] = y^-1 w
+    e13 = cells[idx, m[:, inv].T]   # m[w, inv[x]] = w x^-1
+    return TripartiteGraph(cells, e23, e13)
 
 
 def triangle_count(t: TripartiteGraph) -> int:
-    n = t.n
-    # Transpose e23 so triangles reduce to row intersections.
-    e23t = [0] * n
-    for y in range(n):
-        row = t.e23[y]
-        while row:
-            low = row & -row
-            e23t[low.bit_length() - 1] |= 1 << y
-            row ^= low
-    total = 0
-    for x in range(n):
-        e12x = t.e12[x]
-        if not e12x:
-            continue
-        ws = t.e13[x]
-        while ws:
-            low = ws & -ws
-            w = low.bit_length() - 1
-            ws ^= low
-            total += (e12x & e23t[w]).bit_count()
-    return total
+    """Triangles (x, y, w): for each x, the edges of e23 from the
+    neighbours y of x in e12 to the neighbours w of x in e13."""
+    return sum(int(np.count_nonzero(t.e23[ys] & ws)) for ys, ws in zip(t.e12, t.e13))
 
 
 def shifted_pair_set(g: GroupTable, a_bits: int, s: int) -> PairSet:
     """{(x, y) : x s y in A} for a colour class A given as a bitmask."""
     n = g.order
-    mul = g.mul
-    rows = []
-    for x in range(n):
-        base = mul[x][s]
-        row_base = mul[base]
-        row = 0
-        for y in range(n):
-            if (a_bits >> row_base[y]) & 1:
-                row |= 1 << y
-        rows.append(row)
-    return PairSet(n, tuple(rows))
-
-
-def _intersect(a: PairSet, b: PairSet) -> PairSet:
-    return PairSet(a.n, tuple(x & y for x, y in zip(a.rows, b.rows)))
+    m = g.mul_array
+    packed = np.frombuffer(a_bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    member = np.unpackbits(packed, count=n, bitorder="little").view(bool)
+    return PairSet(member[m[m[:, s]]])
 
 
 @dataclass(frozen=True)
@@ -271,7 +235,7 @@ def witness_finder(
         for shifts in shift_vectors:
             inter = shifted_pair_set(g, cover.classes[order[0]].bits, shifts[0])
             for i in range(1, r):
-                inter = _intersect(inter, shifted_pair_set(g, cover.classes[order[i]].bits, shifts[i]))
+                inter = inter & shifted_pair_set(g, cover.classes[order[i]].bits, shifts[i])
             if Fraction(inter.size) < target:
                 continue
             counts = corner_counts_by_z(g, inter)
@@ -372,7 +336,9 @@ def parse_pairs_text(text: str, source: str = "<input>") -> PairSet:
         n = int(parts[1])
     except ValueError:
         raise ParseError("non-integer size in pairs header", source, no, 1)
-    pairs = []
+    if not 1 <= n <= DEFAULT_MAX_ORDER:
+        raise ParseError(f"pairs size {n} outside 1..{DEFAULT_MAX_ORDER}", source, no, 1)
+    matrix = np.zeros((n, n), dtype=bool)
     for no, s in body:
         fields = s.split()
         if len(fields) != 2:
@@ -383,8 +349,8 @@ def parse_pairs_text(text: str, source: str = "<input>") -> PairSet:
             raise ParseError("non-integer pair entry", source, no, 1)
         if not (0 <= x < n and 0 <= y < n):
             raise ParseError(f"pair ({x},{y}) out of range 0..{n - 1}", source, no, 1)
-        pairs.append((x, y))
-    return PairSet.from_pairs(n, pairs)
+        matrix[x, y] = True
+    return PairSet(matrix)
 
 
 def load_pairs(path: str) -> PairSet:

@@ -6,7 +6,7 @@ intersection, complement, popcount) is exact and fast on Python ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -90,7 +90,9 @@ class GroupTable:
     """A finite group given by its full multiplication table.
 
     `mul[a][b]` is the index of the product ab; `inv[x]` the inverse of x.
-    Instances are immutable and safe to share across threads.
+    `mul_array` is the same table as a read-only n x n integer array, for
+    the array kernels over G x G.  Instances are immutable and safe to
+    share across threads.
     """
 
     order: int
@@ -98,6 +100,7 @@ class GroupTable:
     inv: tuple[int, ...]
     identity: int
     name: str
+    mul_array: np.ndarray = field(repr=False, compare=False)
 
     def subset(self, indices: Iterable[int]) -> ElementSet:
         return ElementSet.from_indices(self.order, indices)
@@ -195,6 +198,7 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: str = "G") -> GroupT
     # set is a subgroup and each new generator at least doubles it: at
     # most log2(n) generators are checked, n^2 cells each.
     m = np.array(mul, dtype=np.min_scalar_type(n))
+    m.flags.writeable = False
     gens: list[int] = []
     reached = 1 << identity
     for b in range(n):
@@ -211,7 +215,8 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: str = "G") -> GroupT
         gens.append(b)
         reached = _closure(mul, identity, gens)
 
-    return GroupTable(order=n, mul=mul, inv=tuple(inv), identity=identity, name=name)
+    return GroupTable(order=n, mul=mul, inv=tuple(inv), identity=identity, name=name,
+                      mul_array=m)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ These deliberately avoid the library's optimised code paths: they
 materialise tuples, loop naively, and enumerate exhaustively.
 """
 
+import random
 from itertools import product
 
 from groupcolour.corners import PairSet
@@ -99,6 +100,67 @@ def naive_corner_count(g: GroupTable, a: PairSet) -> int:
                 if (mul[z][x], y) in a and (x, mul[y][z]) in a:
                     count += 1
     return count
+
+
+def naive_corner_counts_by_z(g: GroupTable, a: PairSet) -> list[int]:
+    """Per-z corner counts by a loop over the set bits of int row masks."""
+    n = g.order
+    mul = g.mul
+    rows = a.rows
+    counts = []
+    for z in range(n):
+        zrow = mul[z]
+        ycol = [mul[y][z] for y in range(n)]
+        total = 0
+        for x in range(n):
+            rx = rows[x]
+            both = rx & rows[zrow[x]]
+            while both:
+                low = both & -both
+                y = low.bit_length() - 1
+                both ^= low
+                if (rx >> ycol[y]) & 1:
+                    total += 1
+        counts.append(total)
+    return counts
+
+
+def naive_shifted_rows(g: GroupTable, a_bits: int, s: int) -> tuple[int, ...]:
+    """Row bitmasks of {(x, y) : x s y in A}, one membership test per cell."""
+    n = g.order
+    mul = g.mul
+    rows = []
+    for x in range(n):
+        row_base = mul[mul[x][s]]
+        row = 0
+        for y in range(n):
+            if (a_bits >> row_base[y]) & 1:
+                row |= 1 << y
+        rows.append(row)
+    return tuple(rows)
+
+
+def naive_random_rows(n: int, seed: int, density: float) -> tuple[int, ...]:
+    """Row bitmasks of a seeded random pair set: one draw per cell, row-major."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        row = 0
+        for y in range(n):
+            if rng.random() < density:
+                row |= 1 << y
+        rows.append(row)
+    return tuple(rows)
+
+
+def naive_dump_pairs(n: int, rows: tuple[int, ...]) -> str:
+    """The pairs file of the given row bitmasks, pairs in row-major order."""
+    lines = [f"pairs {n}"]
+    for x, row in enumerate(rows):
+        for y in range(n):
+            if (row >> y) & 1:
+                lines.append(f"{x} {y}")
+    return "\n".join(lines) + "\n"
 
 
 def naive_is_associative(table) -> bool:

@@ -1,6 +1,6 @@
 import pytest
 
-from groupcolour import catalog
+from groupcolour import catalog, corners
 from groupcolour.cli import main, trend_rows
 from groupcolour.colouring import dump_cover, random_cover
 from groupcolour.corners import dump_pairs, random_pairs
@@ -148,6 +148,25 @@ class TestCorners:
         code, _, err = run(capsys, "corners", "symmetric:3", "--pairs", str(path), "--porcelain")
         assert code == 1
         assert "order" in err
+
+    @pytest.mark.parametrize("size", ["5041", "-1"])
+    def test_header_size_bounded(self, capsys, tmp_path, size):
+        path = tmp_path / "big.pairs"
+        path.write_text(f"pairs {size}\n")
+        code, out, err = run(capsys, "corners", "symmetric:3", "--pairs", str(path), "--porcelain")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and f"{path}:1:1:" in err
+
+    def test_triangle_mismatch_fails(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "f.pairs"
+        path.write_text(dump_pairs(random_pairs(6, seed=0, density=0.5)))
+        real = corners.triangle_count
+        monkeypatch.setattr(corners, "triangle_count", lambda t: real(t) + 1)
+        code, out, err = run(capsys, "corners", "symmetric:3", "--pairs", str(path), "--porcelain")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: corner count mismatch: kernel=")
 
 
 class TestWitness:

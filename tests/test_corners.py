@@ -1,7 +1,10 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupcolour import catalog
 from groupcolour.colouring import Cover, count_quadruples, random_cover
@@ -21,7 +24,15 @@ from groupcolour.corners import (
 from groupcolour.errors import CoverError, ParseError
 from groupcolour.groups import ElementSet
 
-from helpers import naive_corner_count
+from helpers import (
+    naive_corner_count,
+    naive_corner_counts_by_z,
+    naive_dump_pairs,
+    naive_random_rows,
+    naive_shifted_rows,
+)
+
+GROUPS = catalog.catalog_groups(64)
 
 
 def s3():
@@ -34,7 +45,13 @@ class TestPairSet:
         assert a.size == 3
         assert (0, 1) in a and (1, 0) not in a
         assert a.density == Fraction(3, 16)
-        assert sorted(a.pairs()) == [(0, 1), (2, 0), (2, 3)]
+        assert list(a.pairs()) == [(0, 1), (2, 0), (2, 3)]
+        assert a.rows == (0b10, 0, 0b1001, 0)
+
+    def test_read_only(self):
+        a = PairSet.full(3)
+        with pytest.raises(ValueError):
+            a.matrix[0, 0] = False
 
     def test_full_empty(self):
         assert PairSet.full(3).size == 9
@@ -74,6 +91,47 @@ class TestCornerCounts:
             for seed in range(15):
                 a = random_pairs(g.order, seed=seed, density=0.4)
                 assert sum(corner_counts_by_z(g, a)) == naive_corner_count(g, a)
+
+    def test_memory_no_cube(self):
+        # One n x n pass per z: the peak stays a few n^2 bytes, far below
+        # the n^3 of a kernel that broadcasts over all z at once.
+        g = catalog.builtin("heisenberg", [5])
+        n = g.order
+        a = random_pairs(n, seed=1, density=0.5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            corner_counts_by_z(g, a)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * n * n
+
+
+# GROUPS[0] is the trivial group; density 1 fills every cell.
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, len(GROUPS) - 1),
+    st.integers(0, 2 ** 32),
+    st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+)
+@example(0, 0, 1.0)
+@example(0, 0, 0.0)
+def test_kernels_match_bit_loop_oracles(gi, seed, density):
+    g = GROUPS[gi]
+    n = g.order
+    a = random_pairs(n, seed=seed, density=density)
+    assert a.rows == naive_random_rows(n, seed, density)
+    assert dump_pairs(a) == naive_dump_pairs(n, a.rows)
+
+    counts = corner_counts_by_z(g, a)
+    assert counts == naive_corner_counts_by_z(g, a)
+    assert triangle_count(build_tripartite(g, a)) == sum(counts)
+
+    rng = random.Random(seed)
+    a_bits = rng.getrandbits(n)
+    s = rng.randrange(n)
+    assert shifted_pair_set(g, a_bits, s).rows == naive_shifted_rows(g, a_bits, s)
 
 
 class TestTripartite:
@@ -215,6 +273,9 @@ class TestPairsFiles:
             parse_pairs_text("pairs 4\n0 4\n")
         with pytest.raises(ParseError, match="pair line"):
             parse_pairs_text("pairs 4\n0 1 2\n")
+        for size in ("0", "-1", "5041"):
+            with pytest.raises(ParseError, match=r"<input>:1:1: pairs size"):
+                parse_pairs_text(f"pairs {size}\n")
 
     def test_comments(self):
         a = parse_pairs_text("# header comment\npairs 3\n0 1 # trailing\n\n2 2\n")
