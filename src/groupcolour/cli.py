@@ -33,6 +33,16 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational like 3/8, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def _fmt(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
@@ -241,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schur", parents=[common], help="non-commuting Schur number k(G)")
     p.add_argument("groupspec")
-    p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--budget", type=int, default=colouring.DEFAULT_NODE_BUDGET)
+    p.add_argument("--kmax", type=_positive_int, default=6)
+    p.add_argument("--budget", type=_positive_int, default=colouring.DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("cover-build", parents=[common],
@@ -269,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("groupspec")
     p.add_argument("--cover", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=corners.DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_positive_int, default=corners.DEFAULT_TRIALS)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("trend", parents=[common],

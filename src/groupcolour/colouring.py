@@ -9,6 +9,11 @@ size (assign each element to one containing class; subsets of avoiding
 classes avoid), and every partition is a cover, so searching partitions
 suffices.  The search is exhaustive up to class relabelling: element 0 is
 in class 0, and each new class index first appears in element order.
+
+Equivalently, k(G) + 1 is the chromatic number of the 4-uniform hypergraph
+whose edges are the sets {x, y, xy, yx} with xy != yx.  The search builds
+that edge table once and, since every class it keeps already avoids, checks
+only the quadruples through the newly placed element.
 """
 
 from __future__ import annotations
@@ -127,53 +132,64 @@ class _Budget(Exception):
     pass
 
 
-def _class_ok(g: GroupTable, mask: int) -> bool:
-    """No non-commuting quadruple fully inside the class mask."""
+def _edge_masks(g: GroupTable) -> tuple[tuple[int, ...], ...]:
+    """Per element v, the sorted distinct masks of the other three members of
+    every hyperedge {x, y, xy, yx} with xy != yx that contains v.
+
+    The four members of an edge are distinct, and central elements lie in no
+    edge.  The pair (y, x) gives the same edge as (x, y), so x < y suffices.
+    """
     mul = g.mul
-    members = []
-    b = mask
-    while b:
-        low = b & -b
-        members.append(low.bit_length() - 1)
-        b ^= low
-    for x in members:
+    n = g.order
+    others: list[set[int]] = [set() for _ in range(n)]
+    for x in range(n):
         row = mul[x]
-        for y in members:
+        for y in range(x + 1, n):
             p = row[y]
             q = mul[y][x]
-            if p != q and (mask >> p) & 1 and (mask >> q) & 1:
-                return False
-    return True
+            if p != q:
+                edge = (1 << x) | (1 << y) | (1 << p) | (1 << q)
+                for v in (x, y, p, q):
+                    others[v].add(edge ^ (1 << v))
+    return tuple(tuple(sorted(s)) for s in others)
 
 
-def _search_partition(g: GroupTable, m: int, budget: list[int], stats: list[int]) -> list[int] | None:
+def _search_partition(others: tuple[tuple[int, ...], ...], m: int,
+                      budget: list[int], stats: list[int]) -> list[int] | None:
     """First avoiding partition into at most m classes, canonical order.
 
-    budget is a single-element list counting remaining partition extensions;
-    raises _Budget when exhausted.  stats accumulates [nodes, prunes].
+    others is the edge table of _edge_masks.  Every stored class mask
+    avoids, so v may join a class iff no edge through v has its other three
+    members in the class.  budget is a single-element list counting
+    remaining partition extensions; raises _Budget when exhausted.  stats
+    accumulates [nodes, prunes].
     """
-    n = g.order
+    n = len(others)
     masks = [0] * m
     assign = [0] * n
 
     def extend(v: int, used: int) -> bool:
         limit = min(used + 1, m)
+        edges = others[v]
+        bit = 1 << v
         for c in range(limit):
             stats[0] += 1
             budget[0] -= 1
             if budget[0] < 0:
                 raise _Budget()
-            new_mask = masks[c] | (1 << v)
-            if not _class_ok(g, new_mask):
-                stats[1] += 1
-                continue
-            masks[c] = new_mask
-            assign[v] = c
-            if v == n - 1:
-                return True
-            if extend(v + 1, max(used, c + 1)):
-                return True
-            masks[c] ^= 1 << v
+            mask = masks[c]
+            for o in edges:
+                if mask & o == o:
+                    stats[1] += 1
+                    break
+            else:
+                masks[c] = mask | bit
+                assign[v] = c
+                if v == n - 1:
+                    return True
+                if extend(v + 1, max(used, c + 1)):
+                    return True
+                masks[c] = mask
         return False
 
     if extend(0, 0):
@@ -192,11 +208,12 @@ def schur_number(g: GroupTable, k_max: int = 6, budget: int = DEFAULT_NODE_BUDGE
     if is_abelian(g):
         raise ValidationError("k(G) is defined for non-Abelian groups only")
     n = g.order
+    others = _edge_masks(g)
     stats = [0, 0]
     remaining = [budget]
     for m in range(2, k_max + 2):
         try:
-            found = _search_partition(g, m, remaining, stats)
+            found = _search_partition(others, m, remaining, stats)
         except _Budget:
             return SchurResult(m - 1, None, stats[0], stats[1], complete=False)
         if found is not None:

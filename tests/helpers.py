@@ -7,6 +7,7 @@ materialise tuples, loop naively, and enumerate exhaustively.
 import random
 from itertools import product
 
+from groupcolour.colouring import Cover, SchurResult, class_witness
 from groupcolour.corners import PairSet
 from groupcolour.groups import ElementSet, GroupTable
 
@@ -85,6 +86,45 @@ def naive_avoiding_partitions(g: GroupTable, m: int) -> list[list[int]]:
             continue
         results.append(list(assign))
     return results
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def naive_schur_number(g: GroupTable, k_max: int = 6, budget: int = 10 ** 8) -> SchurResult:
+    """The canonical partition search, rechecking the whole class with
+    class_witness at every node; the oracle for the per-edge check."""
+    n = g.order
+    nodes = prunes = 0
+    for m in range(2, k_max + 2):
+        masks = [0] * m
+
+        def extend(v: int, used: int) -> bool:
+            nonlocal nodes, prunes, budget
+            for c in range(min(used + 1, m)):
+                nodes += 1
+                budget -= 1
+                if budget < 0:
+                    raise _OutOfBudget
+                new_mask = masks[c] | (1 << v)
+                if class_witness(g, ElementSet(n, new_mask)) is not None:
+                    prunes += 1
+                    continue
+                masks[c] = new_mask
+                if v == n - 1 or extend(v + 1, max(used, c + 1)):
+                    return True
+                masks[c] ^= 1 << v
+            return False
+
+        try:
+            found = extend(0, 0)
+        except _OutOfBudget:
+            return SchurResult(m - 1, None, nodes, prunes, complete=False)
+        if found:
+            cover = Cover.of(n, [ElementSet(n, b) for b in masks])
+            return SchurResult(m - 1, cover, nodes, prunes, complete=True)
+    return SchurResult(k_max, None, nodes, prunes, complete=False)
 
 
 def naive_corner_count(g: GroupTable, a: PairSet) -> int:

@@ -240,6 +240,35 @@ class TestExitCodes:
         assert err.startswith("error:") and "exceeds maximum" in err
 
 
+class TestSearchOptionBounds:
+    @pytest.mark.parametrize("argv", [
+        ["schur", "symmetric:3", "--kmax", "0"],
+        ["schur", "symmetric:3", "--kmax", "-1"],
+        ["schur", "symmetric:3", "--budget", "0"],
+        ["schur", "symmetric:3", "--budget", "-5"],
+        ["schur", "symmetric:3", "--budget", "many"],
+        ["witness", "symmetric:3", "--cover", "unused.cover", "--trials", "0"],
+        ["witness", "symmetric:3", "--cover", "unused.cover", "--trials", "-3"],
+    ])
+    def test_below_one_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--porcelain"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --" in captured.err
+
+    def test_one_is_accepted(self, capsys, s3_cover_file):
+        code, out, _ = run(capsys, "schur", "symmetric:3", "--kmax", "1",
+                           "--budget", "1", "--porcelain")
+        assert code == 0
+        assert out.splitlines()[:4] == ["k=1", "complete=false", "nodes=2", "prunes=0"]
+        code, out, _ = run(capsys, "witness", "symmetric:3", "--cover", s3_cover_file,
+                           "--trials", "1", "--porcelain")
+        assert code == 0
+        assert "success=" in out
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self, capsys, tmp_path):
         g = catalog.builtin("symmetric", [4])

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcolour import catalog
 from groupcolour.colouring import (
     Cover,
+    _edge_masks,
     class_witness,
     count_quadruples,
     cover_avoids,
@@ -16,9 +19,18 @@ from groupcolour.colouring import (
 )
 from groupcolour.errors import CoverError, ParseError, ValidationError
 from groupcolour.groups import ElementSet, all_subgroups, conjugacy
-from groupcolour.stats import commuting_probability
+from groupcolour.stats import commuting_probability, is_abelian
 
-from helpers import class_has_noncommuting_quadruple, naive_avoiding_partitions, naive_quadruples
+from helpers import (
+    class_has_noncommuting_quadruple,
+    naive_avoiding_partitions,
+    naive_quadruples,
+    naive_schur_number,
+)
+
+# Non-Abelian groups small enough for the whole-class oracle search; S3^2
+# (order 36) is left out, since one full oracle run there takes seconds.
+SCHUR_GROUPS = [g for g in catalog.catalog_groups(24) if not is_abelian(g)]
 
 
 def s3():
@@ -155,6 +167,55 @@ class TestSchurNumber:
         res = schur_number(s3(), k_max=0)
         assert not res.complete
         assert res.k_value == 0
+
+    def test_s4_counters(self):
+        res = schur_number(catalog.resolve_groupspec("symmetric:4"))
+        assert (res.k_value, res.complete, res.nodes, res.prunes) == (2, True, 8329, 4160)
+
+    def test_s3_squared_budget_counters(self):
+        # values of the whole-class search, which stops at node budget + 1
+        res = schur_number(catalog.resolve_groupspec("symmetric:3^2"), budget=50_000)
+        assert (res.k_value, res.complete, res.nodes, res.prunes) == (1, False, 50_001, 24_995)
+        assert res.avoiding_colouring is None
+
+
+class TestEdgeMasks:
+    @pytest.mark.parametrize(
+        "g", [g for g in catalog.catalog_groups(27) if not is_abelian(g)],
+        ids=lambda g: g.name)
+    def test_matches_brute_force(self, g):
+        expected = [set() for _ in range(g.order)]
+        for x, y, p, q in naive_quadruples(g, g.full_set()):
+            if p != q:
+                for v in (x, y, p, q):
+                    expected[v].add(sum(1 << u for u in {x, y, p, q} - {v}))
+        others = _edge_masks(g)
+        assert len(others) == g.order
+        center = {v for v in range(g.order)
+                  if all(g.mul[v][u] == g.mul[u][v] for u in range(g.order))}
+        for v, masks in enumerate(others):
+            assert masks == tuple(sorted(expected[v]))
+            for o in masks:
+                assert o.bit_count() == 3
+                assert not (o >> v) & 1
+            if v in center:
+                assert masks == ()
+            else:
+                assert masks
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, len(SCHUR_GROUPS) - 1),
+    st.integers(0, 3),
+    st.integers(1, 20_000),
+)
+def test_schur_matches_whole_class_oracle(gi, k_max, budget):
+    g = SCHUR_GROUPS[gi]
+    # SchurResult equality covers k_value, complete, nodes, prunes and the
+    # class bits of the colouring
+    assert schur_number(g, k_max=k_max, budget=budget) == naive_schur_number(
+        g, k_max=k_max, budget=budget)
 
 
 class TestRandomCover:
