@@ -14,8 +14,10 @@ import os
 import re
 from typing import Sequence
 
+import numpy as np
+
 from . import groups
-from .errors import ParseError, SizeLimitError, ValidationError, split_lines
+from .errors import ParseError, SizeLimitError, ValidationError, read_header, read_ints, split_lines
 from .groups import GroupTable
 
 HEISENBERG_PRIMES = (3, 5, 7)
@@ -40,8 +42,13 @@ def _cyclic(n: int) -> GroupTable:
     if n < 1:
         raise ValidationError("cyclic order must be >= 1")
     _check_order("cyclic", n)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return groups.from_cayley_table(table, name=f"C{n}")
+    return groups.from_cayley_table(_add_mod(n, 1), name=f"C{n}")
+
+
+def _add_mod(n: int, sign: int) -> np.ndarray:
+    """The n x n array of (i + sign*j) mod n, sign = 1 or -1."""
+    ar = np.arange(n, dtype=np.min_scalar_type(2 * n))
+    return (ar[:, None] + (ar if sign > 0 else n - ar)) % n
 
 
 def _dihedral(n: int) -> GroupTable:
@@ -50,13 +57,12 @@ def _dihedral(n: int) -> GroupTable:
         raise ValidationError("dihedral parameter must be >= 1")
     size = 2 * n
     _check_order("dihedral", size)
-    table = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = (i + j) % n
-            table[i][n + j] = n + (i + j) % n          # r^i * r^j s
-            table[n + i][j] = n + (i - j) % n          # r^i s * r^j
-            table[n + i][n + j] = (i - j) % n          # r^i s * r^j s
+    add, sub = _add_mod(n, 1), _add_mod(n, -1)
+    table = np.empty((size, size), dtype=add.dtype)
+    table[:n, :n] = add              # r^i * r^j
+    table[:n, n:] = add + n          # r^i * r^j s
+    table[n:, :n] = sub + n          # r^i s * r^j
+    table[n:, n:] = sub              # r^i s * r^j s
     return groups.from_cayley_table(table, name=f"D{n}")
 
 
@@ -114,18 +120,12 @@ def _heisenberg(p: int) -> GroupTable:
     if p not in HEISENBERG_PRIMES:
         raise ValidationError(f"heisenberg p supported for p in {HEISENBERG_PRIMES}")
     n = p ** 3
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(p):
-        for b1 in range(p):
-            for c1 in range(p):
-                row = table[a1 * p * p + b1 * p + c1]
-                for a2 in range(p):
-                    for b2 in range(p):
-                        cc = (c1 + a1 * b2) % p
-                        base = ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p
-                        for c2 in range(p):
-                            row[a2 * p * p + b2 * p + c2] = base + (cc + c2) % p
-    return groups.from_cayley_table(table, name=f"Heis{p}")
+    # Axes (a, b, c, a', b', c'); each part has p^4 cells at most.
+    a, b, c, a2, b2, c2 = np.ix_(*[np.arange(p)] * 6)
+    dtype = np.min_scalar_type(n)
+    table = (((a + a2) % p * p * p).astype(dtype) + ((b + b2) % p * p).astype(dtype)
+             + ((c + c2 + a * b2) % p).astype(dtype))
+    return groups.from_cayley_table(table.reshape(n, n), name=f"Heis{p}")
 
 
 def builtin(name: str, params: Sequence[int] = ()) -> GroupTable:
@@ -209,7 +209,7 @@ def parse_cycles(text: str, degree: int, source: str = "<input>", line: int = 0)
 
 
 def parse_group_text(text: str, source: str = "<input>") -> GroupTable:
-    no, parts, body = split_lines(text, "group", source)
+    no, parts, rest = read_header(text, "group", source)
     if len(parts) != 2 or parts[0] not in ("perm", "table"):
         raise ParseError("expected header 'perm <degree>' or 'table <n>'", source, no, 1)
     try:
@@ -221,25 +221,22 @@ def parse_group_text(text: str, source: str = "<input>") -> GroupTable:
 
     if parts[0] == "perm":
         gens = []
-        for no, s in body:
+        for no, s in split_lines(text, "group", source)[2]:
             if not s.startswith("gen"):
                 raise ParseError("expected 'gen <cycles>' line", source, no, 1)
             gens.append(parse_cycles(s[3:], size, source, no))
         return groups.from_permutations(gens, degree=size)
 
-    if len(body) != size:
-        raise ParseError(f"expected {size} table rows, found {len(body)}", source,
-                         body[-1][0] if body else no, 1)
-    table = []
-    for no, s in body:
-        try:
-            row = [int(v) for v in s.split()]
-        except ValueError:
-            raise ParseError("non-integer table entry", source, no, 1)
-        if len(row) != size:
-            raise ParseError(f"row has {len(row)} entries, expected {size}", source, no, 1)
-        table.append(row)
-    return groups.from_cayley_table(table, name=f"table<{size}>")
+    body = read_ints(text, rest, no + 1)
+    rows = len(body.lines)
+    if rows != size:
+        raise ParseError(f"expected {size} table rows, found {rows}", source,
+                         int(body.lines[-1]) if rows else no, 1)
+    body.check(source, [
+        (~body.ok, "non-integer table entry"),
+        (body.counts != size, lambda i: f"row has {body.counts[i]} entries, expected {size}"),
+    ])
+    return groups.from_cayley_table(body.values.reshape(size, size), name=f"table<{size}>")
 
 
 def load_group(path: str) -> GroupTable:

@@ -203,7 +203,8 @@ def schur_number(g: GroupTable, k_max: int = 6, budget: int = DEFAULT_NODE_BUDGE
     Returns the largest k such that every partition into k classes has a
     monochromatic non-commuting quadruple, together with an avoiding
     (k+1)-partition.  A result past the node budget or k_max is a lower
-    bound, flagged incomplete.
+    bound, flagged incomplete.  The node that exceeds the budget is
+    counted, so a budget-limited result reports nodes = budget + 1.
     """
     if is_abelian(g):
         raise ValidationError("k(G) is defined for non-Abelian groups only")

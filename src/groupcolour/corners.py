@@ -25,7 +25,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .colouring import Cover, count_quadruples
-from .errors import CoverError, ParseError, split_lines
+from .errors import CoverError, ParseError, read_header, read_ints
 from .groups import DEFAULT_MAX_ORDER, GroupTable
 
 DEFAULT_TRIALS = 32
@@ -329,7 +329,7 @@ def transcript_lines(t: WitnessTranscript) -> list[str]:
 
 def parse_pairs_text(text: str, source: str = "<input>") -> PairSet:
     """Parse the pairs format: "pairs <n>" then one "x y" line per pair."""
-    no, parts, body = split_lines(text, "pairs", source)
+    no, parts, rest = read_header(text, "pairs", source)
     if len(parts) != 2 or parts[0] != "pairs":
         raise ParseError("expected header 'pairs <n>'", source, no, 1)
     try:
@@ -338,18 +338,16 @@ def parse_pairs_text(text: str, source: str = "<input>") -> PairSet:
         raise ParseError("non-integer size in pairs header", source, no, 1)
     if not 1 <= n <= DEFAULT_MAX_ORDER:
         raise ParseError(f"pairs size {n} outside 1..{DEFAULT_MAX_ORDER}", source, no, 1)
+    body = read_ints(text, rest, no + 1)
+    x, y = body.field(0), body.field(1)
+    body.check(source, [
+        (body.counts != 2, "expected 'x y' pair line"),
+        (~body.ok, "non-integer pair entry"),
+        ((x < 0) | (x >= n) | (y < 0) | (y >= n),
+         lambda i: f"pair ({x[i]},{y[i]}) out of range 0..{n - 1}"),
+    ])
     matrix = np.zeros((n, n), dtype=bool)
-    for no, s in body:
-        fields = s.split()
-        if len(fields) != 2:
-            raise ParseError("expected 'x y' pair line", source, no, 1)
-        try:
-            x, y = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError("non-integer pair entry", source, no, 1)
-        if not (0 <= x < n and 0 <= y < n):
-            raise ParseError(f"pair ({x},{y}) out of range 0..{n - 1}", source, no, 1)
-        matrix[x, y] = True
+    matrix[x, y] = True
     return PairSet(matrix)
 
 

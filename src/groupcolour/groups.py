@@ -143,51 +143,64 @@ class SubgroupList:
         return len(self.subgroups)
 
 
-def from_cayley_table(table: Sequence[Sequence[int]], name: str = "G") -> GroupTable:
+def _entries(table, n: int) -> np.ndarray:
+    """The entries of a table with n rows as an n x n array, range-checked.
+
+    Rows are checked in order, each for its length and then for its
+    entries, so the first bad row decides the message.
+    """
+    short = next((i for i, row in enumerate(table) if len(row) != n), n)
+    cells = np.asarray(table[:short])
+    if cells.dtype.kind not in "iu" or cells.ndim != 2:
+        # int() of every entry, as Python ints: exact at any size.
+        cells = np.frompyfunc(int, 1, 1)(np.array(table[:short], dtype=object).reshape(short, n))
+    out = cells >= n
+    if cells.dtype.kind != "u":
+        out |= cells < 0
+    if out.any():
+        i, j = divmod(int(out.argmax()), n)
+        raise ValidationError(f"entry {cells[i, j]} in row {i} out of range 0..{n - 1}")
+    if short < n:
+        raise ValidationError(f"row {short} has length {len(table[short])}, expected {n}")
+    return cells
+
+
+def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray, name: str = "G") -> GroupTable:
     """Validate a multiplication table and return the group it defines.
 
-    Identity and inverses are discovered, not supplied.  Every table is
-    fully checked for associativity, at any size, by Light's test.
+    `table` is a sequence of rows or an n x n integer array; it is copied.
+    Identity and inverses are discovered, not supplied.  Each check is one
+    pass over the table as an array, and reports the first failure in row
+    order.  Every table is fully checked for associativity, at any size,
+    by Light's test.
     """
     n = len(table)
     if n == 0:
         raise ValidationError("empty table")
-    rows = []
-    for i, row in enumerate(table):
-        row = tuple(int(v) for v in row)
-        if len(row) != n:
-            raise ValidationError(f"row {i} has length {len(row)}, expected {n}")
-        for v in row:
-            if not 0 <= v < n:
-                raise ValidationError(f"entry {v} in row {i} out of range 0..{n - 1}")
-        rows.append(row)
-    mul = tuple(rows)
+    m = np.array(_entries(table, n), dtype=np.min_scalar_type(n), order="C")
+    m.flags.writeable = False
+    ar = np.arange(n)
 
     # Latin square: every row and column is a permutation of 0..n-1.
-    target = list(range(n))
-    for i in range(n):
-        if sorted(mul[i]) != target:
-            raise ValidationError(f"not-Latin-square: row {i} is not a permutation")
-    for j in range(n):
-        if sorted(mul[i][j] for i in range(n)) != target:
-            raise ValidationError(f"not-Latin-square: column {j} is not a permutation")
+    for axis, line, target in ((1, "row", ar), (0, "column", ar[:, None])):
+        bad = (np.sort(m, axis=axis) != target).any(axis=axis)
+        if bad.any():
+            raise ValidationError(
+                f"not-Latin-square: {line} {int(bad.argmax())} is not a permutation")
 
-    # Identity: two-sided.
-    identity = -1
-    for e in range(n):
-        if all(mul[e][x] == x for x in range(n)) and all(mul[x][e] == x for x in range(n)):
-            identity = e
-            break
-    if identity < 0:
+    # Identity: two-sided.  Column 0 holds 0 once, in the only row that
+    # can be the identity permutation.
+    identity = int(m[:, 0].argmin())
+    if not ((m[identity] == ar).all() and (m[:, identity] == ar).all()):
         raise ValidationError("no-identity: no two-sided identity element")
 
     # Inverses: two-sided.
-    inv = []
-    for x in range(n):
-        y = mul[x].index(identity)
-        if mul[y][x] != identity:
-            raise ValidationError(f"no-inverse: element {x} has no two-sided inverse")
-        inv.append(y)
+    inv = (m == identity).argmax(axis=1)
+    bad = m[inv, ar] != identity
+    if bad.any():
+        raise ValidationError(f"no-inverse: element {int(bad.argmax())} has no two-sided inverse")
+
+    mul = tuple(map(tuple, m.tolist()))
 
     # Associativity by Light's test.  The table is now a loop, and the
     # elements b with (ab)c = a(bc) for all a, c form a subloop of it, the
@@ -197,8 +210,6 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: str = "G") -> GroupT
     # triples associate.  The middle nucleus is a group, so the reached
     # set is a subgroup and each new generator at least doubles it: at
     # most log2(n) generators are checked, n^2 cells each.
-    m = np.array(mul, dtype=np.min_scalar_type(n))
-    m.flags.writeable = False
     gens: list[int] = []
     reached = 1 << identity
     for b in range(n):
@@ -206,8 +217,9 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: str = "G") -> GroupT
             continue
         left = m[m[:, b]]         # left[a, c] = mul[mul[a][b]][c]
         right = m[:, m[b]]        # right[a, c] = mul[a][mul[b][c]]
-        if not np.array_equal(left, right):
-            a, c = np.argwhere(left != right)[0]
+        differ = left != right
+        if differ.any():
+            a, c = np.argwhere(differ)[0]
             raise ValidationError(
                 f"non-associative triple ({int(a)},{b},{int(c)}): "
                 f"(ab)c={int(left[a, c])} but a(bc)={int(right[a, c])}"
@@ -215,7 +227,7 @@ def from_cayley_table(table: Sequence[Sequence[int]], name: str = "G") -> GroupT
         gens.append(b)
         reached = _closure(mul, identity, gens)
 
-    return GroupTable(order=n, mul=mul, inv=tuple(inv), identity=identity, name=name,
+    return GroupTable(order=n, mul=mul, inv=tuple(inv.tolist()), identity=identity, name=name,
                       mul_array=m)
 
 
@@ -246,27 +258,43 @@ def from_permutations(
         if len(g) != degree or sorted(g) != list(range(degree)):
             raise ValidationError(f"generator {g} is not a permutation of 0..{degree - 1}")
 
+    # The BFS also records right[k][x], the index of element x times
+    # generator k, and, for each element, the element and generator it was
+    # first reached from.
     ident = tuple(range(degree))
     elements = [ident]
     index = {ident: 0}
+    right: list[list[int]] = [[] for _ in gens]
+    reached_from: list[tuple[int, int]] = [(0, 0)]
     i = 0
     while i < len(elements):
         p = elements[i]
-        for g in gens:
+        for k, g in enumerate(gens):
             q = _compose(p, g)
-            if q not in index:
+            j = index.get(q)
+            if j is None:
                 if len(elements) >= max_order:
                     raise SizeLimitError(
                         f"closure exceeds maximum order {max_order} "
                         f"(found {len(elements)} elements so far)"
                     )
-                index[q] = len(elements)
+                j = index[q] = len(elements)
                 elements.append(q)
+                reached_from.append((i, k))
+            right[k].append(j)
         i += 1
 
+    # columns[b] lists x*b over all x.  If b = p*g_k, then x*b = (x*p)*g_k,
+    # so columns[b] is columns[p] mapped through right[k].
     n = len(elements)
-    table = [[index[_compose(elements[a], elements[b])] for b in range(n)] for a in range(n)]
-    return from_cayley_table(table, name=name or f"perm{degree}<{n}>")
+    dtype = np.min_scalar_type(n)
+    right_maps = np.array(right, dtype=dtype)
+    columns = np.empty((n, n), dtype=dtype)
+    columns[0] = np.arange(n)
+    for b in range(1, n):
+        p, k = reached_from[b]
+        columns[b] = right_maps[k][columns[p]]
+    return from_cayley_table(columns.T, name=name or f"perm{degree}<{n}>")
 
 
 def direct_product(g: GroupTable, h: GroupTable, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
@@ -274,17 +302,10 @@ def direct_product(g: GroupTable, h: GroupTable, max_order: int = DEFAULT_MAX_OR
     n = g.order * h.order
     if n > max_order:
         raise SizeLimitError(f"direct product order {n} exceeds maximum {max_order}")
-    hn = h.order
-    gmul, hmul = g.mul, h.mul
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(g.order):
-        for b1 in range(hn):
-            row = table[a1 * hn + b1]
-            for a2 in range(g.order):
-                ga = gmul[a1][a2] * hn
-                hb1 = hmul[b1]
-                for b2 in range(hn):
-                    row[a2 * hn + b2] = ga + hb1[b2]
+    dtype = np.min_scalar_type(n)
+    gpart = g.mul_array.astype(dtype) * h.order
+    hpart = h.mul_array.astype(dtype)
+    table = (gpart[:, None, :, None] + hpart[None, :, None, :]).reshape(n, n)
     return from_cayley_table(table, name=f"{g.name}x{h.name}")
 
 

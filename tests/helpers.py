@@ -7,9 +7,13 @@ materialise tuples, loop naively, and enumerate exhaustively.
 import random
 from itertools import product
 
+import numpy as np
+
+from groupcolour.catalog import parse_cycles
 from groupcolour.colouring import Cover, SchurResult, class_witness
 from groupcolour.corners import PairSet
-from groupcolour.groups import ElementSet, GroupTable
+from groupcolour.errors import ParseError, SizeLimitError, ValidationError
+from groupcolour.groups import DEFAULT_MAX_ORDER, ElementSet, GroupTable, _closure
 
 
 def naive_quadruples(g: GroupTable, a: ElementSet) -> list[tuple[int, int, int, int]]:
@@ -212,3 +216,221 @@ def naive_is_associative(table) -> bool:
         for b in range(n)
         for c in range(n)
     )
+
+
+# The loop forms of group construction and of the line-oriented parsers,
+# kept as oracles for the array and bulk versions in the library.
+
+def naive_from_cayley_table(table, name: str = "G") -> GroupTable:
+    """Validate a table cell by cell, in from_cayley_table's order of checks."""
+    n = len(table)
+    if n == 0:
+        raise ValidationError("empty table")
+    rows = []
+    for i, row in enumerate(table):
+        row = tuple(int(v) for v in row)
+        if len(row) != n:
+            raise ValidationError(f"row {i} has length {len(row)}, expected {n}")
+        for v in row:
+            if not 0 <= v < n:
+                raise ValidationError(f"entry {v} in row {i} out of range 0..{n - 1}")
+        rows.append(row)
+    mul = tuple(rows)
+
+    target = list(range(n))
+    for i in range(n):
+        if sorted(mul[i]) != target:
+            raise ValidationError(f"not-Latin-square: row {i} is not a permutation")
+    for j in range(n):
+        if sorted(mul[i][j] for i in range(n)) != target:
+            raise ValidationError(f"not-Latin-square: column {j} is not a permutation")
+
+    identity = -1
+    for e in range(n):
+        if all(mul[e][x] == x for x in range(n)) and all(mul[x][e] == x for x in range(n)):
+            identity = e
+            break
+    if identity < 0:
+        raise ValidationError("no-identity: no two-sided identity element")
+
+    inv = []
+    for x in range(n):
+        y = mul[x].index(identity)
+        if mul[y][x] != identity:
+            raise ValidationError(f"no-inverse: element {x} has no two-sided inverse")
+        inv.append(y)
+
+    m = np.array(mul, dtype=np.min_scalar_type(n))
+    m.flags.writeable = False
+    gens: list[int] = []
+    reached = 1 << identity
+    for b in range(n):
+        if (reached >> b) & 1:
+            continue
+        left = m[m[:, b]]
+        right = m[:, m[b]]
+        if not np.array_equal(left, right):
+            a, c = np.argwhere(left != right)[0]
+            raise ValidationError(
+                f"non-associative triple ({int(a)},{b},{int(c)}): "
+                f"(ab)c={int(left[a, c])} but a(bc)={int(right[a, c])}"
+            )
+        gens.append(b)
+        reached = _closure(mul, identity, gens)
+    return GroupTable(order=n, mul=mul, inv=tuple(inv), identity=identity, name=name,
+                      mul_array=m)
+
+
+def naive_cyclic(n: int) -> GroupTable:
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return naive_from_cayley_table(table, name=f"C{n}")
+
+
+def naive_dihedral(n: int) -> GroupTable:
+    size = 2 * n
+    table = [[0] * size for _ in range(size)]
+    for i in range(n):
+        for j in range(n):
+            table[i][j] = (i + j) % n
+            table[i][n + j] = n + (i + j) % n
+            table[n + i][j] = n + (i - j) % n
+            table[n + i][n + j] = (i - j) % n
+    return naive_from_cayley_table(table, name=f"D{n}")
+
+
+def naive_heisenberg(p: int) -> GroupTable:
+    n = p ** 3
+    table = [[0] * n for _ in range(n)]
+    for a1 in range(p):
+        for b1 in range(p):
+            for c1 in range(p):
+                row = table[a1 * p * p + b1 * p + c1]
+                for a2 in range(p):
+                    for b2 in range(p):
+                        cc = (c1 + a1 * b2) % p
+                        base = ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p
+                        for c2 in range(p):
+                            row[a2 * p * p + b2 * p + c2] = base + (cc + c2) % p
+    return naive_from_cayley_table(table, name=f"Heis{p}")
+
+
+def _naive_compose(p, q):
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def naive_from_permutations(generators, degree=None, max_order=DEFAULT_MAX_ORDER, name=None):
+    """BFS closure, then every product looked up by its permutation."""
+    gens = [tuple(int(v) for v in g) for g in generators]
+    if degree is None:
+        degree = len(gens[0]) if gens else 1
+    for g in gens:
+        if len(g) != degree or sorted(g) != list(range(degree)):
+            raise ValidationError(f"generator {g} is not a permutation of 0..{degree - 1}")
+    ident = tuple(range(degree))
+    elements = [ident]
+    index = {ident: 0}
+    i = 0
+    while i < len(elements):
+        p = elements[i]
+        for g in gens:
+            q = _naive_compose(p, g)
+            if q not in index:
+                if len(elements) >= max_order:
+                    raise SizeLimitError(
+                        f"closure exceeds maximum order {max_order} "
+                        f"(found {len(elements)} elements so far)"
+                    )
+                index[q] = len(elements)
+                elements.append(q)
+        i += 1
+    n = len(elements)
+    table = [[index[_naive_compose(elements[a], elements[b])] for b in range(n)]
+             for a in range(n)]
+    return naive_from_cayley_table(table, name=name or f"perm{degree}<{n}>")
+
+
+def naive_direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
+    n = g.order * h.order
+    hn = h.order
+    table = [[0] * n for _ in range(n)]
+    for a1 in range(g.order):
+        for b1 in range(hn):
+            row = table[a1 * hn + b1]
+            for a2 in range(g.order):
+                ga = g.mul[a1][a2] * hn
+                for b2 in range(hn):
+                    row[a2 * hn + b2] = ga + h.mul[b1][b2]
+    return naive_from_cayley_table(table, name=f"{g.name}x{h.name}")
+
+
+def naive_split_lines(text: str, kind: str, source: str):
+    """Header line number and fields, then (line number, text) of each
+    content line, by one loop over all lines."""
+    items = []
+    for no, raw in enumerate(text.splitlines(), 1):
+        s = raw.split("#", 1)[0].strip()
+        if s:
+            items.append((no, s))
+    if not items:
+        raise ParseError(f"empty {kind} file", source, 1, 1)
+    no, header = items[0]
+    return no, header.split(), items[1:]
+
+
+def naive_parse_pairs_text(text: str, source: str = "<input>") -> PairSet:
+    """The pairs parser with one int() per field, line by line."""
+    no, parts, body = naive_split_lines(text, "pairs", source)
+    if len(parts) != 2 or parts[0] != "pairs":
+        raise ParseError("expected header 'pairs <n>'", source, no, 1)
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise ParseError("non-integer size in pairs header", source, no, 1)
+    if not 1 <= n <= DEFAULT_MAX_ORDER:
+        raise ParseError(f"pairs size {n} outside 1..{DEFAULT_MAX_ORDER}", source, no, 1)
+    matrix = np.zeros((n, n), dtype=bool)
+    for no, s in body:
+        fields = s.split()
+        if len(fields) != 2:
+            raise ParseError("expected 'x y' pair line", source, no, 1)
+        try:
+            x, y = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ParseError("non-integer pair entry", source, no, 1)
+        if not (0 <= x < n and 0 <= y < n):
+            raise ParseError(f"pair ({x},{y}) out of range 0..{n - 1}", source, no, 1)
+        matrix[x, y] = True
+    return PairSet(matrix)
+
+
+def naive_parse_group_text(text: str, source: str = "<input>") -> GroupTable:
+    """The group file parser with table rows read line by line."""
+    no, parts, body = naive_split_lines(text, "group", source)
+    if len(parts) != 2 or parts[0] not in ("perm", "table"):
+        raise ParseError("expected header 'perm <degree>' or 'table <n>'", source, no, 1)
+    try:
+        size = int(parts[1])
+    except ValueError:
+        raise ParseError(f"bad size {parts[1]!r} in header", source, no, len(parts[0]) + 2)
+    if size < 1:
+        raise ParseError("size must be >= 1", source, no, len(parts[0]) + 2)
+    if parts[0] == "perm":
+        gens = []
+        for no, s in body:
+            if not s.startswith("gen"):
+                raise ParseError("expected 'gen <cycles>' line", source, no, 1)
+            gens.append(parse_cycles(s[3:], size, source, no))
+        return naive_from_permutations(gens, degree=size)
+    if len(body) != size:
+        raise ParseError(f"expected {size} table rows, found {len(body)}", source,
+                         body[-1][0] if body else no, 1)
+    table = []
+    for no, s in body:
+        try:
+            row = [int(v) for v in s.split()]
+        except ValueError:
+            raise ParseError("non-integer table entry", source, no, 1)
+        if len(row) != size:
+            raise ParseError(f"row has {len(row)} entries, expected {size}", source, no, 1)
+        table.append(row)
+    return naive_from_cayley_table(table, name=f"table<{size}>")

@@ -1,0 +1,161 @@
+"""The array builders and the array validator against their loop oracles."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from groupcolour import catalog, groups
+from groupcolour.errors import GroupColourError, ValidationError
+from groupcolour.groups import direct_product, from_cayley_table, from_permutations
+
+from helpers import (
+    naive_cyclic,
+    naive_dihedral,
+    naive_direct_product,
+    naive_from_cayley_table,
+    naive_from_permutations,
+    naive_heisenberg,
+)
+from test_groups import LOOP5, loops, relabel
+
+GROUPS = catalog.catalog_groups(64)
+LARGE = (("symmetric", 5), ("alternating", 5), ("heisenberg", 5), ("heisenberg", 7))
+
+
+def assert_same_group(g, h):
+    assert (g.order, g.mul, g.inv, g.identity, g.name) == (h.order, h.mul, h.inv, h.identity, h.name)
+    assert g.mul_array.dtype == h.mul_array.dtype
+    assert np.array_equal(g.mul_array, h.mul_array)
+    assert not g.mul_array.flags.writeable
+
+
+def test_catalog_matches_loop_builders(monkeypatch):
+    built = [*GROUPS, *(catalog.builtin(name, [p]) for name, p in LARGE)]
+    # Route every catalog builder through its loop oracle.
+    monkeypatch.setattr(catalog, "_cyclic", naive_cyclic)
+    monkeypatch.setattr(catalog, "_dihedral", naive_dihedral)
+    monkeypatch.setattr(catalog, "_heisenberg", naive_heisenberg)
+    monkeypatch.setattr(groups, "from_permutations", naive_from_permutations)
+    monkeypatch.setattr(groups, "from_cayley_table", naive_from_cayley_table)
+    monkeypatch.setattr(groups, "direct_product", lambda g, h, max_order=0: naive_direct_product(g, h))
+    oracles = [*catalog.catalog_groups(64), *(catalog.builtin(name, [p]) for name, p in LARGE)]
+    assert len(built) == len(oracles)
+    for g, h in zip(built, oracles):
+        assert_same_group(g, h)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["cyclic", "dihedral"]), st.integers(1, 300))
+@example("cyclic", 256)
+@example("dihedral", 128)
+def test_cyclic_dihedral_match_loops(family, n):
+    # Orders past 255 need a two-byte mul_array.
+    oracle = naive_cyclic if family == "cyclic" else naive_dihedral
+    assert_same_group(catalog.builtin(family, [n]), oracle(n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, len(GROUPS) - 1), st.integers(0, len(GROUPS) - 1))
+def test_direct_product_matches_loops(gi, hi):
+    g, h = GROUPS[gi], GROUPS[hi]
+    if g.order * h.order > 300:
+        g = GROUPS[gi % 12]  # a cyclic factor keeps the product small
+    assert_same_group(direct_product(g, h), naive_direct_product(g, h))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda d: st.lists(st.permutations(range(d)), max_size=3).map(lambda gens: (d, gens))))
+@example((6, [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]))
+def test_from_permutations_matches_loops(case):
+    degree, gens = case
+    try:
+        expected = naive_from_permutations(gens, degree=degree, max_order=120)
+    except GroupColourError as exc:
+        with pytest.raises(type(exc)) as info:
+            from_permutations(gens, degree=degree, max_order=120)
+        assert str(info.value) == str(exc)
+        return
+    assert_same_group(from_permutations(gens, degree=degree, max_order=120), expected)
+
+
+@st.composite
+def drawn_tables(draw):
+    """Catalog tables, relabelled and then damaged: changed cells (some out
+    of range), swapped cells and rows, permuted rows, ragged rows."""
+    g = draw(st.sampled_from(GROUPS[:40]))
+    n = g.order
+    table = relabel([list(row) for row in g.mul], draw(st.permutations(range(n))))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["set", "swap", "rows", "shuffle", "ragged"]))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if j >= len(table[i]):
+            continue
+        if op == "set":
+            table[i][j] = draw(st.integers(-3, n + 3) | st.integers(-2 ** 70, 2 ** 70))
+        elif op == "swap":
+            k = draw(st.integers(0, len(table[i]) - 1))
+            table[i][j], table[i][k] = table[i][k], table[i][j]
+        elif op == "rows":
+            table[i], table[j] = table[j], table[i]
+        elif op == "shuffle":
+            order = draw(st.permutations(range(n)))
+            table = [table[r] for r in order]
+        else:
+            table[i] = table[i][:j] if draw(st.booleans()) else table[i] + [0] * (j + 1)
+    return table
+
+
+def outcome(build, table):
+    try:
+        g = build(table)
+    except ValidationError as exc:
+        return "error", str(exc)
+    return "group", (g.mul, g.inv, g.identity, g.name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_tables() | loops())
+@example(LOOP5)
+@example([[0, 1], [1, 0], [0, 1]])
+@example([[0, 5], [1]])         # a bad entry in row 0 beats a short row 1
+@example([[0], [1, 0]])
+@example([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+def test_validator_matches_loop_validator(table):
+    expected = outcome(naive_from_cayley_table, table)
+    assert outcome(from_cayley_table, table) == expected
+    if len({len(row) for row in table}) == 1 and table[0]:
+        try:
+            cells = np.array(table, dtype=np.int64)
+        except OverflowError:
+            return
+        assert outcome(from_cayley_table, cells) == expected
+
+
+def test_array_input_is_copied():
+    cells = np.array(catalog.builtin("cyclic", [4]).mul)
+    g = from_cayley_table(cells)
+    assert cells.flags.writeable
+    cells[0, 0] = 3
+    assert g.mul_array[0, 0] == 0
+
+
+def traced_peak(build) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name,param", [("heisenberg", 7), ("symmetric", 5)])
+def test_memory_build(name, param):
+    # The tuple mul and the array checks need a few dozen bytes a cell;
+    # an int64 broadcast or an n^2 x degree temporary would break the bound.
+    n = catalog.builtin(name, [param]).order
+    assert traced_peak(lambda: catalog.builtin(name, [param])) < 64 * n * n

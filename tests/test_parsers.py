@@ -1,0 +1,201 @@
+"""The line-oriented parsers: the bulk integer reader against the per-line
+oracles, fuzzing, and dump/parse round trips."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from groupcolour import catalog
+from groupcolour.catalog import dump_group, parse_group_text
+from groupcolour.colouring import dump_cover, parse_cover_text, random_cover
+from groupcolour.corners import dump_pairs, parse_pairs_text, random_pairs
+from groupcolour.errors import GroupColourError, split_lines
+
+from helpers import naive_parse_group_text, naive_parse_pairs_text, naive_split_lines
+
+GROUPS = catalog.catalog_groups(64)
+SMALL = [g for g in GROUPS if g.order <= 6]
+
+# What str.split() and str.splitlines() treat as a separator or a line end,
+# ASCII and not.
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x1f", "\xa0", "\u3000"])
+LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+# Fields int() reads, fields it rejects, and fields out of any range here.
+ODD_FIELDS = st.sampled_from([
+    "x", "1.0", "+", "-", "1__0", "_1", "1_", "--1", "+-1", "1-2", "1x", "٣x", "0x1", "١_", "½", "\x00",
+    "-1", "99", "9" * 25, "-" + "9" * 19, "0" * 25 + "1", "1" + "_0" * 10,
+])
+
+
+def spelled(v: int):
+    """Ways int() can read the value v."""
+    sign, s = ("-", str(-v)) if v < 0 else ("", str(v))
+    arabic = "".join(chr(ord("\u0660") + int(c)) for c in s)
+    return st.sampled_from([sign + s, (sign or "+") + s, sign + "0" + s, sign + "00" * 10 + s,
+                            sign + "_".join(s), sign + arabic])
+
+
+@st.composite
+def line_of(draw, fields):
+    sep = draw(SEPARATORS)
+    text = draw(st.sampled_from(["", " ", "\t"])) + sep.join(fields)
+    if draw(st.integers(0, 3)) == 3:
+        text += draw(st.sampled_from(["#", " # note", "#1 2"]))
+    return text
+
+
+@st.composite
+def file_of(draw, header, rows):
+    """A header line and body lines, with comments and blank lines between
+    them and a choice of line ends."""
+    lines = []
+    for line in [header, *rows]:
+        while draw(st.integers(0, 4)) == 4:
+            lines.append(draw(st.sampled_from(["", "  ", "# comment", "\t# 1 2"])))
+        lines.append(line)
+    ends = [draw(LINE_ENDS) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def field(draw, v: int) -> str:
+    return draw(ODD_FIELDS) if draw(st.integers(0, 12)) == 12 else draw(spelled(v))
+
+
+@st.composite
+def pairs_texts(draw):
+    n = draw(st.integers(1, 5))
+    header = draw(st.sampled_from([f"pairs {n}"] * 6 + [
+        "pairs", "pair 3", f"pairs {n} {n}", "pairs x", "pairs 0", "pairs -1", "pairs 5041",
+        f"pairs\xa0{n}", "pairs ٣"]))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        arity = draw(st.sampled_from([2] * 8 + [1, 3]))
+        rows.append(draw(line_of([field(draw, draw(st.integers(0, n - 1) | st.integers(-1, n)))
+                                  for _ in range(arity)])))
+    return draw(file_of(f"{header}", rows))
+
+
+@st.composite
+def table_texts(draw):
+    g = draw(st.sampled_from(SMALL))
+    n = g.order
+    header = draw(st.sampled_from([f"table {n}"] * 6 + [
+        "table", f"table {n + 1}", "table 0", "table x", "tables 2", f"table ٠{n}"]))
+    rows = [list(r) for r in g.mul]
+    if draw(st.integers(0, 2)) == 2:
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(0, n))
+    lines = []
+    for row in rows:
+        fields = [field(draw, v) for v in row]
+        if draw(st.integers(0, 15)) == 15:
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["0"]
+        lines.append(draw(line_of(fields)))
+    if draw(st.integers(0, 10)) == 10:
+        del lines[draw(st.integers(0, n - 1))]
+    return draw(file_of(header, lines))
+
+
+def outcome(parse, text):
+    try:
+        result = parse(text)
+    except GroupColourError as exc:
+        return type(exc).__name__, str(exc)
+    if hasattr(result, "matrix"):
+        return "pairs", result.matrix.tobytes(), result.n
+    return "group", result.mul, result.inv, result.identity, result.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs_texts())
+@example("pairs 3\r\n0 1\r\n\r\n2 2 # c\r\n")
+@example("pairs 4\n1 2\n0 9\n0 x\n")         # out of range on the earlier line wins
+@example("pairs 4\n1 2 3\n0 x\n")
+@example("pairs 4\n0 " + "9" * 30 + "\n")
+def test_pairs_reader_matches_line_parser(text):
+    assert outcome(parse_pairs_text, text) == outcome(naive_parse_pairs_text, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_texts())
+@example("table 2\n0 1\n1 x\n")
+@example("table 2\n0 1 1\n1 x\n")
+@example("table 2\n0 " + "9" * 30 + "\n1 0\n")
+@example("perm 3\r\ngen (0 1)\r\n# c\r\ngen (0 1 2)\r\n")
+def test_table_reader_matches_line_parser(text):
+    assert outcome(parse_group_text, text) == outcome(naive_parse_group_text, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+@example("\r\n# a\r\nh 1 # b\r\n\r\nx\x0by\x85z ")
+def test_split_lines_matches_line_loop(text):
+    try:
+        expected = naive_split_lines(text, "t", "f")
+    except GroupColourError as exc:
+        with pytest.raises(type(exc)) as info:
+            split_lines(text, "t", "f")
+        assert str(info.value) == str(exc)
+        return
+    assert split_lines(text, "t", "f") == expected
+
+
+GRAMMAR = ["0", "+1", "-0", "007", "1_0", "0_1", "٣", "+٣", "١_٢", "1٣", "0" * 30 + "2",
+           "_1", "1_", "1__0", "+_1", "-_1", "+-1", "--1", "1-2", "0+1", "+", "-",
+           "x", "1x", "1.0", "½", "²",
+           "-" + "9" * 30, "9" * 30, "1" + "_0" * 20]
+
+
+@pytest.mark.parametrize("field", GRAMMAR)
+def test_field_grammar_is_int(field):
+    for text in (f"pairs 9\n{field} 0\n", f"pairs 9\n1 1\n0 {field}\n8 9\n"):
+        assert outcome(parse_pairs_text, text) == outcome(naive_parse_pairs_text, text)
+    text = f"table 1\n{field}\n"
+    assert outcome(parse_group_text, text) == outcome(naive_parse_group_text, text)
+
+
+HEADERS = st.sampled_from(["", "pairs 3\n", "table 2\n", "perm 3\n", "cover 2 3\n", "cover 1 4\n"])
+PARSERS = [parse_pairs_text, parse_group_text, parse_cover_text]
+
+
+@settings(max_examples=200, deadline=None)
+@given(HEADERS, st.text() | st.text(alphabet="0123 \n#-+_x()gen\r"))
+def test_parsers_raise_only_domain_errors(header, body):
+    for parse in PARSERS:
+        try:
+            parse(header + body)
+        except GroupColourError:
+            pass
+
+
+@pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)
+def test_group_round_trip(g):
+    h = parse_group_text(dump_group(g))
+    assert (h.mul, h.inv, h.identity, h.name) == (g.mul, g.inv, g.identity, f"table<{g.order}>")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(GROUPS), st.integers(0, 2 ** 32), st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+       st.integers(1, 4))
+def test_pairs_and_cover_round_trip(g, seed, density, k):
+    a = random_pairs(g.order, seed=seed, density=density)
+    assert parse_pairs_text(dump_pairs(a)) == a
+    cover = random_cover(g, k, seed=seed)
+    assert parse_cover_text(dump_cover(cover)) == cover
+
+
+def test_memory_parse_pairs():
+    text = dump_pairs(random_pairs(343, seed=0, density=0.25))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        a = parse_pairs_text(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert a.size == np.count_nonzero(random_pairs(343, seed=0, density=0.25).matrix)
+    assert peak < 6 * 2 ** 20
