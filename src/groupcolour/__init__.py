@@ -30,7 +30,6 @@ from .groups import (
     ConjugacyData,
     ElementSet,
     GroupTable,
-    SubgroupList,
     all_subgroups,
     conjugacy,
     coset_action_kernel,
@@ -38,7 +37,6 @@ from .groups import (
     from_cayley_table,
     from_permutations,
     product_set,
-    quotient,
 )
 from .neumann import NeumannArtifacts, NeumannParams, build_cover, small_class_set
 from .stats import CommutingReport, commuting_probability, is_abelian

@@ -1,7 +1,7 @@
 """Built-in small groups and the line-oriented group file format.
 
 Group file grammar (UTF-8):
-    line 1: "perm <degree>"  or  "table <n>"
+    line 1: "perm <degree>"  or  "table <n>", degree and n in 1..5040
     perm mode:  lines "gen <cycles>", cycles like "(0 1)(2 3 4)" (0-indexed,
                 fixed points omitted)
     table mode: n lines of n whitespace-separated element indices
@@ -218,6 +218,11 @@ def parse_group_text(text: str, source: str = "<input>") -> GroupTable:
         raise ParseError(f"bad size {parts[1]!r} in header", source, no, len(parts[0]) + 2)
     if size < 1:
         raise ParseError("size must be >= 1", source, no, len(parts[0]) + 2)
+    # Every group of order <= DEFAULT_MAX_ORDER acts faithfully on that many
+    # points, so no larger degree is needed.
+    if size > groups.DEFAULT_MAX_ORDER:
+        raise ParseError(f"size {size} exceeds maximum {groups.DEFAULT_MAX_ORDER}",
+                         source, no, len(parts[0]) + 2)
 
     if parts[0] == "perm":
         gens = []
@@ -248,7 +253,7 @@ def load_group(path: str) -> GroupTable:
 
 def dump_group(g: GroupTable) -> str:
     lines = [f"table {g.order}"]
-    for row in g.mul:
+    for row in g.mul_array.tolist():
         lines.append(" ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
 

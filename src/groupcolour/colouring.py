@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .errors import CoverError, ParseError, ValidationError, split_lines
 from .groups import ElementSet, GroupTable
 from .stats import is_abelian
@@ -66,45 +68,30 @@ class Cover:
         return total == (1 << self.group_order) - 1
 
 
+def _pair_products(g: GroupTable, a: ElementSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The members of A in increasing order, the table xy over x, y in A,
+    and A's membership mask over G."""
+    member = a.mask()
+    idx = np.flatnonzero(member)
+    return idx, g.mul_array[np.ix_(idx, idx)], member
+
+
 def count_quadruples(g: GroupTable, a: ElementSet) -> tuple[int, int]:
     """(total, noncommuting) quadruples (x, y, xy, yx) in A^4, ordered pairs."""
-    mul = g.mul
-    n = g.order
-    abits = a.bits
-    total = 0
-    noncomm = 0
-    for x in a:
-        row = mul[x]
-        mask_xy = 0
-        mask_yx = 0
-        mask_nc = 0
-        for y in range(n):
-            p = row[y]
-            q = mul[y][x]
-            if (abits >> p) & 1:
-                mask_xy |= 1 << y
-            if (abits >> q) & 1:
-                mask_yx |= 1 << y
-            if p != q:
-                mask_nc |= 1 << y
-        both = abits & mask_xy & mask_yx
-        total += both.bit_count()
-        noncomm += (both & mask_nc).bit_count()
-    return total, noncomm
+    _, xy, member = _pair_products(g, a)
+    both = member[xy] & member[xy.T]
+    return int(np.count_nonzero(both)), int(np.count_nonzero(both & (xy != xy.T)))
 
 
 def class_witness(g: GroupTable, a: ElementSet) -> tuple[int, int] | None:
-    """A pair (x, y) with x, y, xy, yx in A and xy != yx, or None."""
-    mul = g.mul
-    abits = a.bits
-    for x in a:
-        row = mul[x]
-        for y in a:
-            p = row[y]
-            q = mul[y][x]
-            if p != q and (abits >> p) & 1 and (abits >> q) & 1:
-                return (x, y)
-    return None
+    """The lexicographically first pair (x, y) with x, y, xy, yx in A and
+    xy != yx, or None."""
+    idx, xy, member = _pair_products(g, a)
+    hit = member[xy] & member[xy.T] & (xy != xy.T)
+    if not hit.any():
+        return None
+    i, j = divmod(int(hit.argmax()), len(idx))
+    return int(idx[i]), int(idx[j])
 
 
 def cover_avoids(g: GroupTable, cover: Cover) -> tuple[bool, tuple[int, int, int] | None]:
@@ -139,18 +126,13 @@ def _edge_masks(g: GroupTable) -> tuple[tuple[int, ...], ...]:
     The four members of an edge are distinct, and central elements lie in no
     edge.  The pair (y, x) gives the same edge as (x, y), so x < y suffices.
     """
-    mul = g.mul
-    n = g.order
-    others: list[set[int]] = [set() for _ in range(n)]
-    for x in range(n):
-        row = mul[x]
-        for y in range(x + 1, n):
-            p = row[y]
-            q = mul[y][x]
-            if p != q:
-                edge = (1 << x) | (1 << y) | (1 << p) | (1 << q)
-                for v in (x, y, p, q):
-                    others[v].add(edge ^ (1 << v))
+    m = g.mul_array
+    xs, ys = np.nonzero(np.triu(m != m.T, 1))
+    others: list[set[int]] = [set() for _ in range(g.order)]
+    for x, y, p, q in zip(xs.tolist(), ys.tolist(), m[xs, ys].tolist(), m[ys, xs].tolist()):
+        edge = (1 << x) | (1 << y) | (1 << p) | (1 << q)
+        for v in (x, y, p, q):
+            others[v].add(edge ^ (1 << v))
     return tuple(tuple(sorted(s)) for s in others)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .colouring import Cover, count_quadruples
 from .errors import CoverError, ParseError, read_header, read_ints
-from .groups import DEFAULT_MAX_ORDER, GroupTable
+from .groups import DEFAULT_MAX_ORDER, ElementSet, GroupTable
 
 DEFAULT_TRIALS = 32
 
@@ -161,11 +161,8 @@ def triangle_count(t: TripartiteGraph) -> int:
 
 def shifted_pair_set(g: GroupTable, a_bits: int, s: int) -> PairSet:
     """{(x, y) : x s y in A} for a colour class A given as a bitmask."""
-    n = g.order
     m = g.mul_array
-    packed = np.frombuffer(a_bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    member = np.unpackbits(packed, count=n, bitorder="little").view(bool)
-    return PairSet(member[m[m[:, s]]])
+    return PairSet(ElementSet(g.order, a_bits).mask()[m[m[:, s]]])
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,17 @@
 """Finite groups as explicit Cayley tables over element indices 0..n-1.
 
-All element sets are fixed-width bit vectors, so set algebra (union,
-intersection, complement, popcount) is exact and fast on Python ints.
+A group stores its table once, as a read-only n x n NumPy array, and every
+computation over G x G is an array expression over it.  Element sets are
+fixed-width bit vectors, so set algebra (union, intersection, complement,
+popcount) is exact and fast on Python ints; `ElementSet.mask` and
+`ElementSet.from_mask` convert them to and from bool vectors for the array
+kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -40,6 +45,17 @@ class ElementSet:
                 raise ValueError(f"element index {i} out of range 0..{n - 1}")
             bits |= 1 << i
         return cls(n, bits)
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "ElementSet":
+        """The indices at which a length-n bool vector is true."""
+        packed = np.packbits(mask, bitorder="little")
+        return cls(len(mask), int.from_bytes(packed.tobytes(), "little"))
+
+    def mask(self) -> np.ndarray:
+        """Membership as a length-n bool vector."""
+        packed = np.frombuffer(self.bits.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(packed, count=self.n, bitorder="little").view(bool)
 
     def __post_init__(self) -> None:
         if self.bits < 0 or self.bits >> self.n:
@@ -85,22 +101,38 @@ class ElementSet:
         return self.bits & ~other.bits == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupTable:
     """A finite group given by its full multiplication table.
 
-    `mul[a][b]` is the index of the product ab; `inv[x]` the inverse of x.
-    `mul_array` is the same table as a read-only n x n integer array, for
-    the array kernels over G x G.  Instances are immutable and safe to
+    `mul_array` is the table as a read-only n x n array of dtype
+    `np.min_scalar_type(n)`: `mul_array[a, b]` is the index of the product
+    ab.  `inv[x]` is the inverse of x.  Two groups are equal when their
+    tables and all other fields are.  Instances are immutable and safe to
     share across threads.
     """
 
     order: int
-    mul: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     identity: int
     name: str
-    mul_array: np.ndarray = field(repr=False, compare=False)
+    mul_array: np.ndarray = field(repr=False)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroupTable):
+            return NotImplemented
+        return ((self.order, self.inv, self.identity, self.name, self.mul_array.dtype)
+                == (other.order, other.inv, other.identity, other.name, other.mul_array.dtype)
+                and np.array_equal(self.mul_array, other.mul_array))
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.inv, self.identity, self.name, self.mul_array.tobytes()))
+
+    @cached_property
+    def _columns(self) -> list[list[int]]:
+        """Column b lists x*b over all x, as Python ints, for the BFS of
+        subgroup_closure.  Built on first use and kept."""
+        return self.mul_array.T.tolist()
 
     def subset(self, indices: Iterable[int]) -> ElementSet:
         return ElementSet.from_indices(self.order, indices)
@@ -110,7 +142,8 @@ class GroupTable:
 
     def conjugate(self, g: int, x: int) -> int:
         """g^-1 x g."""
-        return self.mul[self.mul[self.inv[g]][x]][g]
+        m = self.mul_array
+        return int(m[m[self.inv[g], x], g])
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name!r}, order={self.order})"
@@ -128,19 +161,6 @@ class ConjugacyData:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-
-@dataclass(frozen=True)
-class SubgroupList:
-    """All subgroups of a group, ordered by size then bit pattern."""
-
-    subgroups: tuple[ElementSet, ...]
-
-    def __iter__(self) -> Iterator[ElementSet]:
-        return iter(self.subgroups)
-
-    def __len__(self) -> int:
-        return len(self.subgroups)
 
 
 def _entries(table, n: int) -> np.ndarray:
@@ -200,8 +220,6 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray, name: str = "
     if bad.any():
         raise ValidationError(f"no-inverse: element {int(bad.argmax())} has no two-sided inverse")
 
-    mul = tuple(map(tuple, m.tolist()))
-
     # Associativity by Light's test.  The table is now a loop, and the
     # elements b with (ab)c = a(bc) for all a, c form a subloop of it, the
     # middle nucleus.  Every reached element is a product of checked
@@ -210,25 +228,22 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray, name: str = "
     # triples associate.  The middle nucleus is a group, so the reached
     # set is a subgroup and each new generator at least doubles it: at
     # most log2(n) generators are checked, n^2 cells each.
-    gens: list[int] = []
+    columns: list[list[int]] = []
     reached = 1 << identity
     for b in range(n):
         if (reached >> b) & 1:
             continue
-        left = m[m[:, b]]         # left[a, c] = mul[mul[a][b]][c]
-        right = m[:, m[b]]        # right[a, c] = mul[a][mul[b][c]]
-        differ = left != right
+        differ = m[m[:, b]] != m[:, m[b]]     # (ab)c against a(bc), over a and c
         if differ.any():
-            a, c = np.argwhere(differ)[0]
+            a, c = divmod(int(differ.argmax()), n)
             raise ValidationError(
-                f"non-associative triple ({int(a)},{b},{int(c)}): "
-                f"(ab)c={int(left[a, c])} but a(bc)={int(right[a, c])}"
+                f"non-associative triple ({a},{b},{c}): "
+                f"(ab)c={int(m[m[a, b], c])} but a(bc)={int(m[a, m[b, c]])}"
             )
-        gens.append(b)
-        reached = _closure(mul, identity, gens)
+        columns.append(m[:, b].tolist())
+        reached = _closure(columns, identity)
 
-    return GroupTable(order=n, mul=mul, inv=tuple(inv.tolist()), identity=identity, name=name,
-                      mul_array=m)
+    return GroupTable(order=n, inv=tuple(inv.tolist()), identity=identity, name=name, mul_array=m)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -312,43 +327,35 @@ def direct_product(g: GroupTable, h: GroupTable, max_order: int = DEFAULT_MAX_OR
 def conjugacy(g: GroupTable) -> ConjugacyData:
     """Conjugacy classes by orbit computation, centralizers by direct count."""
     n = g.order
-    mul, inv = g.mul, g.inv
-    class_id = [-1] * n
+    m = g.mul_array
+    ts, inv = np.arange(n), np.array(g.inv)
+    class_id = np.full(n, -1)
     classes: list[ElementSet] = []
     for x in range(n):
         if class_id[x] >= 0:
             continue
-        orbit = 0
-        for t in range(n):
-            orbit |= 1 << mul[mul[inv[t]][x]][t]
-        cid = len(classes)
-        b = orbit
-        while b:
-            low = b & -b
-            class_id[low.bit_length() - 1] = cid
-            b ^= low
-        classes.append(ElementSet(n, orbit))
-    centralizer = []
-    for x in range(n):
-        row = mul[x]
-        centralizer.append(sum(1 for t in range(n) if row[t] == mul[t][x]))
+        orbit = np.zeros(n, dtype=bool)
+        orbit[m[m[inv, x], ts]] = True      # t^-1 x t over all t
+        class_id[orbit] = len(classes)
+        classes.append(ElementSet.from_mask(orbit))
+    centralizer = np.count_nonzero(m == m.T, axis=1)
     return ConjugacyData(
-        class_id=tuple(class_id),
+        class_id=tuple(class_id.tolist()),
         classes=tuple(classes),
         class_sizes=tuple(len(c) for c in classes),
-        centralizer_sizes=tuple(centralizer),
+        centralizer_sizes=tuple(centralizer.tolist()),
     )
 
 
-def _closure(mul: Sequence[Sequence[int]], identity: int, gens: Sequence[int]) -> int:
-    """Bit set of all products of gens, by BFS from the identity that
-    multiplies on the right by one generator at a time: O(|H| * #gens)."""
+def _closure(columns: Sequence[Sequence[int]], identity: int) -> int:
+    """Bit set of all products of the generators whose columns are given
+    (columns[k][x] = x * gen_k), by BFS from the identity that multiplies on
+    the right by one generator at a time: O(|H| * #gens)."""
     mask = 1 << identity
     queue = [identity]
     for x in queue:
-        row = mul[x]
-        for s in gens:
-            y = row[s]
+        for col in columns:
+            y = col[x]
             if not (mask >> y) & 1:
                 mask |= 1 << y
                 queue.append(y)
@@ -362,33 +369,30 @@ def subgroup_closure(g: GroupTable, generators: Iterable[int]) -> ElementSet:
     subgroup.  Elements that are products of earlier ones are skipped, so
     at most log2 |H| generators reach the BFS.
     """
-    gens: list[int] = []
+    columns = []
     mask = 1 << g.identity
     for x in generators:
         if not (mask >> x) & 1:
-            gens.append(x)
-            mask = _closure(g.mul, g.identity, gens)
+            columns.append(g._columns[x])
+            mask = _closure(columns, g.identity)
     return ElementSet(g.order, mask)
 
 
 def is_subgroup(g: GroupTable, s: ElementSet) -> bool:
+    """True iff S contains the identity and is closed under products (in a
+    finite group, closure under products gives the inverses)."""
     if g.identity not in s:
         return False
-    mem = s.members()
-    bits = s.bits
-    mul = g.mul
-    for a in mem:
-        if not (bits >> g.inv[a]) & 1:
-            return False
-        row = mul[a]
-        for b in mem:
-            if not (bits >> row[b]) & 1:
-                return False
-    return True
+    member = s.mask()
+    idx = np.flatnonzero(member)
+    return bool(member[g.mul_array[np.ix_(idx, idx)]].all())
 
 
-def all_subgroups(g: GroupTable, max_group_order: int = DEFAULT_SUBGROUP_BOUND) -> SubgroupList:
-    """Complete subgroup list by iterated one-element extensions.
+def all_subgroups(
+    g: GroupTable, max_group_order: int = DEFAULT_SUBGROUP_BOUND
+) -> tuple[ElementSet, ...]:
+    """All subgroups, ordered by size then bit pattern, by iterated
+    one-element extensions.
 
     Every subgroup arises from a chain of one-generator extensions starting
     at the trivial subgroup, so growing the lattice level by level finds
@@ -415,68 +419,26 @@ def all_subgroups(g: GroupTable, max_group_order: int = DEFAULT_SUBGROUP_BOUND) 
                     nxt.append(ext)
         frontier = nxt
     ordered = sorted(found, key=lambda b: (b.bit_count(), b))
-    return SubgroupList(tuple(ElementSet(n, b) for b in ordered))
-
-
-def _require_subgroup(g: GroupTable, s: ElementSet, what: str) -> None:
-    if not is_subgroup(g, s):
-        raise ValidationError(f"{what} is not a subgroup")
-
-
-def quotient(g: GroupTable, k: ElementSet) -> tuple[GroupTable, tuple[int, ...]]:
-    """Quotient by a normal subgroup, on minimum-index coset representatives."""
-    _require_subgroup(g, k, "K")
-    n = g.order
-    mul = g.mul
-    kbits = k.bits
-    for t in range(n):
-        conj = 0
-        for h in k:
-            conj |= 1 << g.conjugate(t, h)
-        if conj != kbits:
-            raise ValidationError(f"K is not normal: conjugation by {t} moves it")
-
-    proj = [-1] * n
-    reps: list[int] = []
-    for x in range(n):
-        if proj[x] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(x)
-        for h in k:
-            proj[mul[x][h]] = cid
-    q = len(reps)
-    table = [[proj[mul[reps[i]][reps[j]]] for j in range(q)] for i in range(q)]
-    qt = from_cayley_table(table, name=f"{g.name}/{k.bits:#x}" if q < n else g.name)
-    return qt, tuple(proj)
+    return tuple(ElementSet(n, b) for b in ordered)
 
 
 def coset_action_kernel(g: GroupTable, h: ElementSet) -> ElementSet:
     """Normal core of H: intersection of all conjugates t H t^-1."""
-    _require_subgroup(g, h, "H")
+    if not is_subgroup(g, h):
+        raise ValidationError("H is not a subgroup")
     n = g.order
-    mul, inv = g.mul, g.inv
-    kernel = (1 << n) - 1
-    for t in range(n):
-        conj = 0
-        for x in h:
-            conj |= 1 << mul[mul[t][x]][inv[t]]
-        kernel &= conj
-        if kernel == 1 << g.identity:
-            break
-    return ElementSet(n, kernel)
+    m = g.mul_array
+    # Row t of conj is t H t^-1, whose |H| members are distinct, so x lies
+    # in every conjugate iff it occurs n times.
+    conj = m[m[:, np.flatnonzero(h.mask())], np.array(g.inv)[:, None]]
+    return ElementSet.from_mask(np.bincount(conj.ravel(), minlength=n) == n)
 
 
 def product_set(g: GroupTable, a: ElementSet, b: ElementSet) -> ElementSet:
     """{xy : x in A, y in B}, exact."""
-    bits = 0
-    mul = g.mul
-    bm = b.members()
-    for x in a:
-        row = mul[x]
-        for y in bm:
-            bits |= 1 << row[y]
-    return ElementSet(g.order, bits)
+    member = np.zeros(g.order, dtype=bool)
+    member[g.mul_array[np.ix_(np.flatnonzero(a.mask()), np.flatnonzero(b.mask()))]] = True
+    return ElementSet.from_mask(member)
 
 
 def iterated_product(g: GroupTable, x: ElementSet, times: int) -> ElementSet:
@@ -493,16 +455,10 @@ def iterated_product(g: GroupTable, x: ElementSet, times: int) -> ElementSet:
 
 
 def left_cosets(g: GroupTable, k: ElementSet) -> list[ElementSet]:
-    """Left cosets xK, ordered by minimum element index."""
+    """Left cosets xK of a subgroup K, ordered by minimum element index."""
     n = g.order
-    seen = 0
-    cosets = []
-    for x in range(n):
-        if (seen >> x) & 1:
-            continue
-        bits = 0
-        for h in k:
-            bits |= 1 << g.mul[x][h]
-        seen |= bits
-        cosets.append(ElementSet(n, bits))
-    return cosets
+    cosets = g.mul_array[:, np.flatnonzero(k.mask())]     # row x is xK
+    reps = np.flatnonzero(cosets.min(axis=1) == np.arange(n))
+    member = np.zeros((len(reps), n), dtype=bool)
+    member[np.arange(len(reps))[:, None], cosets[reps]] = True
+    return [ElementSet.from_mask(row) for row in member]

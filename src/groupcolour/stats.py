@@ -2,13 +2,16 @@
 
 The commuting probability is always an exact rational; floats appear only
 when callers format reports.  The pair count is computed two independent
-ways (direct double loop, and |G| times the class number) which must agree.
+ways (the pairs with xy = yx, read off the table against its transpose, and
+|G| times the class number) which must agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import ConsistencyError
 from .groups import ConjugacyData, GroupTable, conjugacy
@@ -23,23 +26,13 @@ class CommutingReport:
 
 
 def is_abelian(g: GroupTable) -> bool:
-    mul = g.mul
-    n = g.order
-    for x in range(n):
-        row = mul[x]
-        for y in range(x + 1, n):
-            if row[y] != mul[y][x]:
-                return False
-    return True
+    return np.array_equal(g.mul_array, g.mul_array.T)
 
 
 def commuting_probability(g: GroupTable, conj: ConjugacyData | None = None) -> CommutingReport:
     n = g.order
-    mul = g.mul
-    count = 0
-    for x in range(n):
-        row = mul[x]
-        count += sum(1 for y in range(n) if row[y] == mul[y][x])
+    m = g.mul_array
+    count = int(np.count_nonzero(m == m.T))
 
     if conj is None:
         conj = conjugacy(g)

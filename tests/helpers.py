@@ -10,21 +10,22 @@ from itertools import product
 import numpy as np
 
 from groupcolour.catalog import parse_cycles
-from groupcolour.colouring import Cover, SchurResult, class_witness
+from groupcolour.colouring import Cover, SchurResult
 from groupcolour.corners import PairSet
 from groupcolour.errors import ParseError, SizeLimitError, ValidationError
-from groupcolour.groups import DEFAULT_MAX_ORDER, ElementSet, GroupTable, _closure
+from groupcolour.groups import DEFAULT_MAX_ORDER, ConjugacyData, ElementSet, GroupTable
 
 
 def naive_quadruples(g: GroupTable, a: ElementSet) -> list[tuple[int, int, int, int]]:
     """All (x, y, xy, yx) tuples fully inside A, materialised."""
+    mul = g.mul_array.tolist()
     members = a.members()
     mset = set(members)
     out = []
     for x in members:
         for y in members:
-            p = g.mul[x][y]
-            q = g.mul[y][x]
+            p = mul[x][y]
+            q = mul[y][x]
             if p in mset and q in mset:
                 out.append((x, y, p, q))
     return out
@@ -32,11 +33,12 @@ def naive_quadruples(g: GroupTable, a: ElementSet) -> list[tuple[int, int, int, 
 
 def naive_commuting_pairs(g: GroupTable) -> int:
     n = g.order
+    mul = g.mul_array.tolist()
     return sum(
         1
         for x in range(n)
         for y in range(n)
-        if g.mul[x][y] == g.mul[y][x]
+        if mul[x][y] == mul[y][x]
     )
 
 
@@ -57,10 +59,11 @@ def naive_permutation_closure(generators, degree) -> set[tuple[int, ...]]:
 
 
 def class_has_noncommuting_quadruple(g: GroupTable, members: set[int]) -> bool:
+    mul = g.mul_array.tolist()
     for x in members:
         for y in members:
-            p = g.mul[x][y]
-            q = g.mul[y][x]
+            p = mul[x][y]
+            q = mul[y][x]
             if p != q and p in members and q in members:
                 return True
     return False
@@ -98,7 +101,7 @@ class _OutOfBudget(Exception):
 
 def naive_schur_number(g: GroupTable, k_max: int = 6, budget: int = 10 ** 8) -> SchurResult:
     """The canonical partition search, rechecking the whole class with
-    class_witness at every node; the oracle for the per-edge check."""
+    naive_class_witness at every node; the oracle for the per-edge check."""
     n = g.order
     nodes = prunes = 0
     for m in range(2, k_max + 2):
@@ -112,7 +115,7 @@ def naive_schur_number(g: GroupTable, k_max: int = 6, budget: int = 10 ** 8) -> 
                 if budget < 0:
                     raise _OutOfBudget
                 new_mask = masks[c] | (1 << v)
-                if class_witness(g, ElementSet(n, new_mask)) is not None:
+                if naive_class_witness(g, ElementSet(n, new_mask)) is not None:
                     prunes += 1
                     continue
                 masks[c] = new_mask
@@ -134,7 +137,7 @@ def naive_schur_number(g: GroupTable, k_max: int = 6, budget: int = 10 ** 8) -> 
 def naive_corner_count(g: GroupTable, a: PairSet) -> int:
     """Plain triple loop; the independent oracle for the bit-parallel path."""
     n = g.order
-    mul = g.mul
+    mul = g.mul_array.tolist()
     count = 0
     for x in range(n):
         for y in range(n):
@@ -149,7 +152,7 @@ def naive_corner_count(g: GroupTable, a: PairSet) -> int:
 def naive_corner_counts_by_z(g: GroupTable, a: PairSet) -> list[int]:
     """Per-z corner counts by a loop over the set bits of int row masks."""
     n = g.order
-    mul = g.mul
+    mul = g.mul_array.tolist()
     rows = a.rows
     counts = []
     for z in range(n):
@@ -172,7 +175,7 @@ def naive_corner_counts_by_z(g: GroupTable, a: PairSet) -> list[int]:
 def naive_shifted_rows(g: GroupTable, a_bits: int, s: int) -> tuple[int, ...]:
     """Row bitmasks of {(x, y) : x s y in A}, one membership test per cell."""
     n = g.order
-    mul = g.mul
+    mul = g.mul_array.tolist()
     rows = []
     for x in range(n):
         row_base = mul[mul[x][s]]
@@ -216,6 +219,162 @@ def naive_is_associative(table) -> bool:
         for b in range(n)
         for c in range(n)
     )
+
+
+# The loop forms of the G x G kernels, kept as oracles for the array
+# expressions over mul_array in the library.
+
+def naive_is_abelian(g: GroupTable) -> bool:
+    mul = g.mul_array.tolist()
+    n = g.order
+    for x in range(n):
+        row = mul[x]
+        for y in range(x + 1, n):
+            if row[y] != mul[y][x]:
+                return False
+    return True
+
+
+def naive_conjugacy(g: GroupTable) -> ConjugacyData:
+    """Classes by conjugating each new element by every t, in element order;
+    centralizers by a count per element."""
+    n = g.order
+    mul, inv = g.mul_array.tolist(), g.inv
+    class_id = [-1] * n
+    classes: list[ElementSet] = []
+    for x in range(n):
+        if class_id[x] >= 0:
+            continue
+        orbit = 0
+        for t in range(n):
+            orbit |= 1 << mul[mul[inv[t]][x]][t]
+        for v in ElementSet(n, orbit):
+            class_id[v] = len(classes)
+        classes.append(ElementSet(n, orbit))
+    centralizer = []
+    for x in range(n):
+        row = mul[x]
+        centralizer.append(sum(1 for t in range(n) if row[t] == mul[t][x]))
+    return ConjugacyData(
+        class_id=tuple(class_id),
+        classes=tuple(classes),
+        class_sizes=tuple(len(c) for c in classes),
+        centralizer_sizes=tuple(centralizer),
+    )
+
+
+def naive_is_subgroup(g: GroupTable, s: ElementSet) -> bool:
+    if g.identity not in s:
+        return False
+    mem = s.members()
+    bits = s.bits
+    mul = g.mul_array.tolist()
+    for a in mem:
+        if not (bits >> g.inv[a]) & 1:
+            return False
+        row = mul[a]
+        for b in mem:
+            if not (bits >> row[b]) & 1:
+                return False
+    return True
+
+
+def naive_coset_action_kernel(g: GroupTable, h: ElementSet) -> ElementSet:
+    """The intersection of t H t^-1 over all t, one conjugate at a time."""
+    n = g.order
+    mul, inv = g.mul_array.tolist(), g.inv
+    kernel = (1 << n) - 1
+    for t in range(n):
+        conj = 0
+        for x in h:
+            conj |= 1 << mul[mul[t][x]][inv[t]]
+        kernel &= conj
+    return ElementSet(n, kernel)
+
+
+def naive_product_set(g: GroupTable, a: ElementSet, b: ElementSet) -> ElementSet:
+    bits = 0
+    mul = g.mul_array.tolist()
+    for x in a:
+        for y in b:
+            bits |= 1 << mul[x][y]
+    return ElementSet(g.order, bits)
+
+
+def naive_left_cosets(g: GroupTable, k: ElementSet) -> list[ElementSet]:
+    """xK for each x not in an earlier coset, in element order."""
+    n = g.order
+    mul = g.mul_array.tolist()
+    seen = 0
+    cosets = []
+    for x in range(n):
+        if (seen >> x) & 1:
+            continue
+        bits = 0
+        for h in k:
+            bits |= 1 << mul[x][h]
+        seen |= bits
+        cosets.append(ElementSet(n, bits))
+    return cosets
+
+
+def naive_count_quadruples(g: GroupTable, a: ElementSet) -> tuple[int, int]:
+    """(total, noncommuting) quadruples in A^4, by row masks over y per x."""
+    mul = g.mul_array.tolist()
+    n = g.order
+    abits = a.bits
+    total = 0
+    noncomm = 0
+    for x in a:
+        row = mul[x]
+        mask_xy = 0
+        mask_yx = 0
+        mask_nc = 0
+        for y in range(n):
+            p = row[y]
+            q = mul[y][x]
+            if (abits >> p) & 1:
+                mask_xy |= 1 << y
+            if (abits >> q) & 1:
+                mask_yx |= 1 << y
+            if p != q:
+                mask_nc |= 1 << y
+        both = abits & mask_xy & mask_yx
+        total += both.bit_count()
+        noncomm += (both & mask_nc).bit_count()
+    return total, noncomm
+
+
+def naive_class_witness(g: GroupTable, a: ElementSet) -> tuple[int, int] | None:
+    """The first (x, y) in A x A, in element order, with xy, yx in A and
+    xy != yx."""
+    mul = g.mul_array.tolist()
+    abits = a.bits
+    for x in a:
+        row = mul[x]
+        for y in a:
+            p = row[y]
+            q = mul[y][x]
+            if p != q and (abits >> p) & 1 and (abits >> q) & 1:
+                return (x, y)
+    return None
+
+
+def naive_edge_masks(g: GroupTable) -> tuple[tuple[int, ...], ...]:
+    """Per element v, the sorted masks of the other three members of each
+    hyperedge {x, y, xy, yx}, xy != yx, through v, over all pairs x < y."""
+    mul = g.mul_array.tolist()
+    n = g.order
+    others: list[set[int]] = [set() for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            p = mul[x][y]
+            q = mul[y][x]
+            if p != q:
+                edge = (1 << x) | (1 << y) | (1 << p) | (1 << q)
+                for v in (x, y, p, q):
+                    others[v].add(edge ^ (1 << v))
+    return tuple(tuple(sorted(s)) for s in others)
 
 
 # The loop forms of group construction and of the line-oriented parsers,
@@ -276,9 +435,21 @@ def naive_from_cayley_table(table, name: str = "G") -> GroupTable:
                 f"(ab)c={int(left[a, c])} but a(bc)={int(right[a, c])}"
             )
         gens.append(b)
-        reached = _closure(mul, identity, gens)
-    return GroupTable(order=n, mul=mul, inv=tuple(inv), identity=identity, name=name,
-                      mul_array=m)
+        reached = naive_generated(mul, identity, gens)
+    return GroupTable(order=n, inv=tuple(inv), identity=identity, name=name, mul_array=m)
+
+
+def naive_generated(mul, identity: int, gens) -> int:
+    """Bit set of all products of gens, by BFS from the identity."""
+    queue = [identity]
+    seen = {identity}
+    for x in queue:
+        for s in gens:
+            y = mul[x][s]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return sum(1 << x for x in seen)
 
 
 def naive_cyclic(n: int) -> GroupTable:
@@ -352,14 +523,15 @@ def naive_from_permutations(generators, degree=None, max_order=DEFAULT_MAX_ORDER
 def naive_direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     n = g.order * h.order
     hn = h.order
+    gmul, hmul = g.mul_array.tolist(), h.mul_array.tolist()
     table = [[0] * n for _ in range(n)]
     for a1 in range(g.order):
         for b1 in range(hn):
             row = table[a1 * hn + b1]
             for a2 in range(g.order):
-                ga = g.mul[a1][a2] * hn
+                ga = gmul[a1][a2] * hn
                 for b2 in range(hn):
-                    row[a2 * hn + b2] = ga + h.mul[b1][b2]
+                    row[a2 * hn + b2] = ga + hmul[b1][b2]
     return naive_from_cayley_table(table, name=f"{g.name}x{h.name}")
 
 
@@ -414,6 +586,9 @@ def naive_parse_group_text(text: str, source: str = "<input>") -> GroupTable:
         raise ParseError(f"bad size {parts[1]!r} in header", source, no, len(parts[0]) + 2)
     if size < 1:
         raise ParseError("size must be >= 1", source, no, len(parts[0]) + 2)
+    if size > DEFAULT_MAX_ORDER:
+        raise ParseError(f"size {size} exceeds maximum {DEFAULT_MAX_ORDER}",
+                         source, no, len(parts[0]) + 2)
     if parts[0] == "perm":
         gens = []
         for no, s in body:

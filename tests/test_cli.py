@@ -239,6 +239,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and "exceeds maximum" in err
 
+    @pytest.mark.parametrize("text", ["perm 200000\ngen (0 1)\n", "perm 5041\ngen (0 1)\n",
+                                      "table 5041\n0\n"])
+    def test_oversized_group_file_is_one(self, capsys, tmp_path, text):
+        # Rejected at the header, before a permutation or table is read.
+        path = tmp_path / "big.grp"
+        path.write_text(text)
+        code, out, err = run(capsys, "info", str(path), "--porcelain")
+        assert code == 1
+        assert out == ""
+        col = len(text.split()[0]) + 2
+        assert err.startswith(f"error: {path}:1:{col}:") and "exceeds maximum 5040" in err
+
 
 class TestSearchOptionBounds:
     @pytest.mark.parametrize("argv", [

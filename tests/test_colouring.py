@@ -103,7 +103,7 @@ class TestCoverAvoids:
         assert not ok
         ci, x, y = witness
         assert ci == 0
-        assert g.mul[x][y] != g.mul[y][x]
+        assert g.mul_array[x, y] != g.mul_array[y, x]
 
     def test_a3_complement_avoids(self):
         g = s3()
@@ -129,7 +129,7 @@ class TestCoverAvoids:
         assert not ok
         _, x, y = witness
         a = g.full_set()
-        assert g.mul[x][y] in a and g.mul[y][x] in a
+        assert g.mul_array[x, y] in a and g.mul_array[y, x] in a
 
 
 class TestSchurNumber:
@@ -192,7 +192,7 @@ class TestEdgeMasks:
         others = _edge_masks(g)
         assert len(others) == g.order
         center = {v for v in range(g.order)
-                  if all(g.mul[v][u] == g.mul[u][v] for u in range(g.order))}
+                  if (g.mul_array[v] == g.mul_array[:, v]).all()}
         for v, masks in enumerate(others):
             assert masks == tuple(sorted(expected[v]))
             for o in masks:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from groupcolour import catalog, groups
 from groupcolour.errors import GroupColourError, ValidationError
 from groupcolour.groups import direct_product, from_cayley_table, from_permutations
+from groupcolour.stats import commuting_probability
 
 from helpers import (
     naive_cyclic,
@@ -26,7 +27,7 @@ LARGE = (("symmetric", 5), ("alternating", 5), ("heisenberg", 5), ("heisenberg",
 
 
 def assert_same_group(g, h):
-    assert (g.order, g.mul, g.inv, g.identity, g.name) == (h.order, h.mul, h.inv, h.identity, h.name)
+    assert (g.order, g.inv, g.identity, g.name) == (h.order, h.inv, h.identity, h.name)
     assert g.mul_array.dtype == h.mul_array.dtype
     assert np.array_equal(g.mul_array, h.mul_array)
     assert not g.mul_array.flags.writeable
@@ -88,7 +89,7 @@ def drawn_tables(draw):
     of range), swapped cells and rows, permuted rows, ragged rows."""
     g = draw(st.sampled_from(GROUPS[:40]))
     n = g.order
-    table = relabel([list(row) for row in g.mul], draw(st.permutations(range(n))))
+    table = relabel(g.mul_array.tolist(), draw(st.permutations(range(n))))
     for _ in range(draw(st.integers(0, 3))):
         op = draw(st.sampled_from(["set", "swap", "rows", "shuffle", "ragged"]))
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -114,7 +115,7 @@ def outcome(build, table):
         g = build(table)
     except ValidationError as exc:
         return "error", str(exc)
-    return "group", (g.mul, g.inv, g.identity, g.name)
+    return "group", (g.mul_array.tolist(), g.inv, g.identity, g.name)
 
 
 @settings(max_examples=150, deadline=None)
@@ -136,7 +137,7 @@ def test_validator_matches_loop_validator(table):
 
 
 def test_array_input_is_copied():
-    cells = np.array(catalog.builtin("cyclic", [4]).mul)
+    cells = np.array(catalog.builtin("cyclic", [4]).mul_array)
     g = from_cayley_table(cells)
     assert cells.flags.writeable
     cells[0, 0] = 3
@@ -151,6 +152,14 @@ def traced_peak(build) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_memory_one_table():
+    # One 2-byte cell per product, plus bool temporaries, stays near 12
+    # bytes a cell; a Python-int copy of the table takes about 50.
+    n = 2000
+    peak = traced_peak(lambda: commuting_probability(catalog.builtin("dihedral", [n // 2])))
+    assert peak < 16 * n * n
 
 
 @pytest.mark.parametrize("name,param", [("heisenberg", 7), ("symmetric", 5)])

@@ -176,7 +176,7 @@ class TestShiftedPairSet:
         ps = shifted_pair_set(g, a_bits, 3)
         for x in range(6):
             for y in range(6):
-                expected = (a_bits >> g.mul[g.mul[x][3]][y]) & 1 == 1
+                expected = (a_bits >> int(g.mul_array[g.mul_array[x, 3], y])) & 1 == 1
                 assert ((x, y) in ps) == expected
 
     def test_fibre_size(self):
@@ -187,7 +187,7 @@ class TestShiftedPairSet:
             hits = [0] * 8
             for x in range(8):
                 for y in range(8):
-                    hits[g.mul[g.mul[x][shift]][y]] += 1
+                    hits[g.mul_array[g.mul_array[x, shift], y]] += 1
             assert all(h == 8 for h in hits)
 
 

@@ -1,0 +1,70 @@
+"""The array kernels over mul_array against their loop oracles."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groupcolour import catalog
+from groupcolour.colouring import _edge_masks, class_witness, count_quadruples
+from groupcolour.groups import (
+    ElementSet,
+    conjugacy,
+    coset_action_kernel,
+    is_subgroup,
+    left_cosets,
+    product_set,
+    subgroup_closure,
+)
+from groupcolour.stats import commuting_probability, is_abelian
+
+from helpers import (
+    naive_class_witness,
+    naive_commuting_pairs,
+    naive_conjugacy,
+    naive_coset_action_kernel,
+    naive_count_quadruples,
+    naive_edge_masks,
+    naive_is_abelian,
+    naive_is_subgroup,
+    naive_left_cosets,
+    naive_product_set,
+)
+
+GROUPS = catalog.catalog_groups(64)
+
+
+@st.composite
+def group_and_sets(draw):
+    """A catalog group, two drawn element sets and a drawn subgroup."""
+    g = draw(st.sampled_from(GROUPS))
+    n = g.order
+    sets = st.integers(0, (1 << n) - 1).map(lambda bits: ElementSet(n, bits))
+    h = subgroup_closure(g, draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    return g, draw(sets), draw(sets), h
+
+
+def all_ints(values) -> bool:
+    return all(type(v) is int for v in values)
+
+
+@settings(max_examples=120, deadline=None)
+@given(group_and_sets())
+def test_kernels_match_loop_oracles(case):
+    g, a, b, h = case
+    conj = conjugacy(g)
+    assert conj == naive_conjugacy(g)
+    assert all_ints(conj.class_id + conj.centralizer_sizes)
+    report = commuting_probability(g, conj)
+    assert report.pairs_commuting == naive_commuting_pairs(g)
+    assert type(report.pairs_commuting) is int
+    assert is_abelian(g) == naive_is_abelian(g)
+    assert _edge_masks(g) == naive_edge_masks(g)
+    for s in (a, b, h, g.full_set()):
+        counts = count_quadruples(g, s)
+        assert counts == naive_count_quadruples(g, s) and all_ints(counts)
+        witness = class_witness(g, s)
+        assert witness == naive_class_witness(g, s) and all_ints(witness or ())
+        assert is_subgroup(g, s) == naive_is_subgroup(g, s)
+    assert is_subgroup(g, h)
+    assert product_set(g, a, b) == naive_product_set(g, a, b)
+    assert left_cosets(g, h) == naive_left_cosets(g, h)
+    assert coset_action_kernel(g, h) == naive_coset_action_kernel(g, h)

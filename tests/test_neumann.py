@@ -51,7 +51,7 @@ class TestSmallClassSet:
         g = catalog.builtin("dihedral", [4])
         x = small_class_set(g, Fraction(1))
         # centre of D4 is {e, r^2}
-        centre = [v for v in range(8) if all(g.mul[v][w] == g.mul[w][v] for w in range(8))]
+        centre = [v for v in range(8) if (g.mul_array[v] == g.mul_array[:, v]).all()]
         assert x.members() == centre
 
     def test_abelian_everything(self):
