@@ -25,8 +25,8 @@ HEISENBERG_PRIMES = (3, 5, 7)
 BUILTIN_NAMES = {
     "cyclic": "cyclic n (order n)",
     "dihedral": "dihedral n (order 2n)",
-    "symmetric": "symmetric n, n <= 6 (order n!)",
-    "alternating": "alternating n, n <= 6 (order n!/2)",
+    "symmetric": "symmetric n, n <= 7 (order n!)",
+    "alternating": "alternating n, 3 <= n <= 7 (order n!/2)",
     "quaternion8": "quaternion group (order 8)",
     "heisenberg": "heisenberg p, p in {3,5,7} (order p^3)",
 }
@@ -36,6 +36,20 @@ def _check_order(family: str, order: int) -> None:
     # Checked before the order^2 table is allocated.
     if order > groups.DEFAULT_MAX_ORDER:
         raise SizeLimitError(f"{family} order {order} exceeds maximum {groups.DEFAULT_MAX_ORDER}")
+
+
+def _check_factorial_order(family: str, n: int, first: int) -> None:
+    """_check_order for the order first * (first + 1) * ... * n: n! from
+    first = 2, n!/2 from first = 3.  The product is taken one factor at a
+    time and stops once it passes the maximum, so a huge n costs a few
+    multiplications; the message then names the order as a formula."""
+    order = 1
+    for k in range(first, n + 1):
+        order *= k
+        if order > groups.DEFAULT_MAX_ORDER and k < n:
+            raise SizeLimitError(f"{family} order {n}!{'/2' if first == 3 else ''} "
+                                 f"exceeds maximum {groups.DEFAULT_MAX_ORDER}")
+    _check_order(family, order)
 
 
 def _cyclic(n: int) -> GroupTable:
@@ -67,8 +81,9 @@ def _dihedral(n: int) -> GroupTable:
 
 
 def _symmetric(n: int) -> GroupTable:
-    if not 1 <= n <= 6:
-        raise ValidationError("symmetric n supported for 1 <= n <= 6")
+    if n < 1:
+        raise ValidationError("symmetric n must be >= 1")
+    _check_factorial_order("symmetric", n, 2)
     if n == 1:
         return groups.from_permutations([], degree=1, name="S1")
     gens: list[list[int]] = [[1, 0] + list(range(2, n))]
@@ -78,8 +93,9 @@ def _symmetric(n: int) -> GroupTable:
 
 
 def _alternating(n: int) -> GroupTable:
-    if not 3 <= n <= 6:
-        raise ValidationError("alternating n supported for 3 <= n <= 6")
+    if n < 3:
+        raise ValidationError("alternating n must be >= 3")
+    _check_factorial_order("alternating", n, 3)
     three = [1, 2, 0] + list(range(3, n))
     gens = [three]
     if n > 3:
@@ -157,11 +173,21 @@ def _one_param(name: str, params: tuple[int, ...]) -> int:
 _SPEC_RE = re.compile(r"^([a-z]+[a-z0-9]*)(?::(\d+(?:,\d+)*))?(?:\^(\d+))?$")
 
 
-def resolve_groupspec(spec: str, max_order: int = groups.DEFAULT_MAX_ORDER) -> GroupTable:
+def _above_max(digits: str) -> bool:
+    """Whether a groupspec integer has more significant digits than
+    DEFAULT_MAX_ORDER, and so exceeds it; such a string is never converted."""
+    return len(digits.lstrip("0")) > len(str(groups.DEFAULT_MAX_ORDER))
+
+
+def resolve_groupspec(spec: str) -> GroupTable:
     """Resolve a groupspec: a path to a group file, or a builtin spec.
 
     Builtin specs look like "cyclic:5", "quaternion8", "dihedral:4^2"
-    (the ^k suffix takes the k-th direct power).
+    (the ^k suffix takes the k-th direct power).  Every order is checked
+    against DEFAULT_MAX_ORDER before its table is built: a parameter with
+    more digits than the maximum is refused unread, each family checks its
+    order, and |G|^k is checked before the first product.  The trivial
+    group's powers never grow, so its exponent is bounded by the maximum.
     """
     if os.path.sep in spec or os.path.isfile(spec):
         return load_group(spec)
@@ -169,13 +195,28 @@ def resolve_groupspec(spec: str, max_order: int = groups.DEFAULT_MAX_ORDER) -> G
     if not m:
         raise ValidationError(f"cannot parse groupspec {spec!r} (and no such file)")
     name, params, power = m.group(1), m.group(2), m.group(3)
-    g = builtin(name, [int(v) for v in params.split(",")] if params else [])
-    k = int(power) if power else 1
+    values = params.split(",") if params else []
+    if any(_above_max(v) for v in values):
+        raise SizeLimitError(f"{name} parameter exceeds maximum {groups.DEFAULT_MAX_ORDER}")
+    g = builtin(name, [int(v) for v in values])
+    k = 1
+    if power:
+        # A longer exponent need only be known to exceed the maximum.
+        k = groups.DEFAULT_MAX_ORDER + 1 if _above_max(power) else int(power)
     if k < 1:
         raise ValidationError("direct power exponent must be >= 1")
+    if g.order == 1 and k > groups.DEFAULT_MAX_ORDER:
+        raise SizeLimitError(f"direct power exponent exceeds maximum {groups.DEFAULT_MAX_ORDER}")
+    # The first power past the maximum, named as direct_product names it.
+    order = g.order
+    for _ in range(k - 1):
+        order *= g.order
+        if order > groups.DEFAULT_MAX_ORDER:
+            raise SizeLimitError(
+                f"direct product order {order} exceeds maximum {groups.DEFAULT_MAX_ORDER}")
     result = g
     for _ in range(k - 1):
-        result = groups.direct_product(result, g, max_order=max_order)
+        result = groups.direct_product(result, g)
     return result
 
 

@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CoverError, ParseError, ValidationError, split_lines
-from .groups import ElementSet, GroupTable
+from .groups import DEFAULT_MAX_ORDER, ElementSet, GroupTable
 from .stats import is_abelian
 
 DEFAULT_NODE_BUDGET = 10 ** 8
@@ -234,7 +234,11 @@ def random_cover(g: GroupTable, k: int, seed: int = 0, overlap: float = 0.0) -> 
 
 
 def parse_cover_text(text: str, source: str = "<input>") -> Cover:
-    """Parse the cover format: "cover <k> <n>" then k index-list lines."""
+    """Parse the cover format: "cover <k> <n>" then k index-list lines.
+
+    The group order n must lie in 1..DEFAULT_MAX_ORDER; it is checked at the
+    header, before any class is read.
+    """
     no, parts, body = split_lines(text, "cover", source)
     if len(parts) != 3 or parts[0] != "cover":
         raise ParseError("expected header 'cover <k> <n>'", source, no, 1)
@@ -242,6 +246,8 @@ def parse_cover_text(text: str, source: str = "<input>") -> Cover:
         k, n = int(parts[1]), int(parts[2])
     except ValueError:
         raise ParseError("non-integer sizes in cover header", source, no, 1)
+    if not 1 <= n <= DEFAULT_MAX_ORDER:
+        raise ParseError(f"cover group order {n} outside 1..{DEFAULT_MAX_ORDER}", source, no, 1)
     if len(body) != k:
         raise ParseError(f"expected {k} class lines, found {len(body)}", source, no, 1)
     classes = []

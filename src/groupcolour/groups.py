@@ -21,6 +21,19 @@ from .errors import SizeLimitError, ValidationError
 DEFAULT_MAX_ORDER = 5040
 DEFAULT_SUBGROUP_BOUND = 128
 
+# The whole-table checks of from_cayley_table and the conjugate gather of
+# coset_action_kernel run over blocks of rows with at most this many cells,
+# so their temporaries stay a few MiB at any order.  Tables of up to 1024
+# elements are one block.
+_BLOCK_CELLS = 1 << 20
+
+
+def _row_blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of range(n), each of at most _BLOCK_CELLS // n rows."""
+    step = max(1, _BLOCK_CELLS // n)
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
 
 @dataclass(frozen=True)
 class ElementSet:
@@ -174,12 +187,15 @@ def _entries(table, n: int) -> np.ndarray:
     if cells.dtype.kind not in "iu" or cells.ndim != 2:
         # int() of every entry, as Python ints: exact at any size.
         cells = np.frompyfunc(int, 1, 1)(np.array(table[:short], dtype=object).reshape(short, n))
-    out = cells >= n
-    if cells.dtype.kind != "u":
-        out |= cells < 0
-    if out.any():
-        i, j = divmod(int(out.argmax()), n)
-        raise ValidationError(f"entry {cells[i, j]} in row {i} out of range 0..{n - 1}")
+    for rows in _row_blocks(n):
+        block = cells[rows]
+        out = block >= n
+        if cells.dtype.kind != "u":
+            out |= block < 0
+        if out.any():
+            i, j = divmod(int(out.argmax()), n)
+            raise ValidationError(
+                f"entry {block[i, j]} in row {rows.start + i} out of range 0..{n - 1}")
     if short < n:
         raise ValidationError(f"row {short} has length {len(table[short])}, expected {n}")
     return cells
@@ -190,9 +206,9 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray, name: str = "
 
     `table` is a sequence of rows or an n x n integer array; it is copied.
     Identity and inverses are discovered, not supplied.  Each check is one
-    pass over the table as an array, and reports the first failure in row
-    order.  Every table is fully checked for associativity, at any size,
-    by Light's test.
+    pass over the table as an array, in blocks of rows (`_row_blocks`), and
+    reports the first failure in row order.  Every table is fully checked
+    for associativity, at any size, by Light's test.
     """
     n = len(table)
     if n == 0:
@@ -202,11 +218,12 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray, name: str = "
     ar = np.arange(n)
 
     # Latin square: every row and column is a permutation of 0..n-1.
-    for axis, line, target in ((1, "row", ar), (0, "column", ar[:, None])):
-        bad = (np.sort(m, axis=axis) != target).any(axis=axis)
-        if bad.any():
-            raise ValidationError(
-                f"not-Latin-square: {line} {int(bad.argmax())} is not a permutation")
+    for lines, line in ((m, "row"), (m.T, "column")):
+        for rows in _row_blocks(n):
+            bad = (np.sort(lines[rows], axis=1) != ar).any(axis=1)
+            if bad.any():
+                raise ValidationError(f"not-Latin-square: {line} "
+                                      f"{rows.start + int(bad.argmax())} is not a permutation")
 
     # Identity: two-sided.  Column 0 holds 0 once, in the only row that
     # can be the identity permutation.
@@ -215,7 +232,7 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray, name: str = "
         raise ValidationError("no-identity: no two-sided identity element")
 
     # Inverses: two-sided.
-    inv = (m == identity).argmax(axis=1)
+    inv = np.concatenate([(m[rows] == identity).argmax(axis=1) for rows in _row_blocks(n)])
     bad = m[inv, ar] != identity
     if bad.any():
         raise ValidationError(f"no-inverse: element {int(bad.argmax())} has no two-sided inverse")
@@ -233,13 +250,15 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray, name: str = "
     for b in range(n):
         if (reached >> b) & 1:
             continue
-        differ = m[m[:, b]] != m[:, m[b]]     # (ab)c against a(bc), over a and c
-        if differ.any():
-            a, c = divmod(int(differ.argmax()), n)
-            raise ValidationError(
-                f"non-associative triple ({a},{b},{c}): "
-                f"(ab)c={int(m[m[a, b], c])} but a(bc)={int(m[a, m[b, c]])}"
-            )
+        for rows in _row_blocks(n):
+            differ = m[m[rows, b]] != m[rows][:, m[b]]     # (ab)c against a(bc)
+            if differ.any():
+                i, c = divmod(int(differ.argmax()), n)
+                a = rows.start + i
+                raise ValidationError(
+                    f"non-associative triple ({a},{b},{c}): "
+                    f"(ab)c={int(m[m[a, b], c])} but a(bc)={int(m[a, m[b, c]])}"
+                )
         columns.append(m[:, b].tolist())
         reached = _closure(columns, identity)
 
@@ -254,14 +273,14 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 def from_permutations(
     generators: Sequence[Sequence[int]],
     degree: int | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
     name: str | None = None,
 ) -> GroupTable:
     """Group generated by permutations, elements in BFS-from-identity order.
 
     Generators are applied in input order on the right, so the element
     numbering is deterministic.  An empty generator list gives the trivial
-    group.
+    group.  The closure stops with SizeLimitError once it would pass
+    DEFAULT_MAX_ORDER elements.
     """
     gens = [tuple(int(v) for v in g) for g in generators]
     if degree is None:
@@ -288,9 +307,9 @@ def from_permutations(
             q = _compose(p, g)
             j = index.get(q)
             if j is None:
-                if len(elements) >= max_order:
+                if len(elements) >= DEFAULT_MAX_ORDER:
                     raise SizeLimitError(
-                        f"closure exceeds maximum order {max_order} "
+                        f"closure exceeds maximum order {DEFAULT_MAX_ORDER} "
                         f"(found {len(elements)} elements so far)"
                     )
                 j = index[q] = len(elements)
@@ -312,11 +331,12 @@ def from_permutations(
     return from_cayley_table(columns.T, name=name or f"perm{degree}<{n}>")
 
 
-def direct_product(g: GroupTable, h: GroupTable, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
-    """Component-wise product; element (a, b) has index a*|H| + b."""
+def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
+    """Component-wise product; element (a, b) has index a*|H| + b.  Its
+    order is checked against DEFAULT_MAX_ORDER before the table is built."""
     n = g.order * h.order
-    if n > max_order:
-        raise SizeLimitError(f"direct product order {n} exceeds maximum {max_order}")
+    if n > DEFAULT_MAX_ORDER:
+        raise SizeLimitError(f"direct product order {n} exceeds maximum {DEFAULT_MAX_ORDER}")
     dtype = np.min_scalar_type(n)
     gpart = g.mul_array.astype(dtype) * h.order
     hpart = h.mul_array.astype(dtype)
@@ -388,20 +408,18 @@ def is_subgroup(g: GroupTable, s: ElementSet) -> bool:
     return bool(member[g.mul_array[np.ix_(idx, idx)]].all())
 
 
-def all_subgroups(
-    g: GroupTable, max_group_order: int = DEFAULT_SUBGROUP_BOUND
-) -> tuple[ElementSet, ...]:
+def all_subgroups(g: GroupTable) -> tuple[ElementSet, ...]:
     """All subgroups, ordered by size then bit pattern, by iterated
     one-element extensions.
 
     Every subgroup arises from a chain of one-generator extensions starting
     at the trivial subgroup, so growing the lattice level by level finds
-    them all.
+    them all.  Groups above DEFAULT_SUBGROUP_BOUND raise SizeLimitError.
     """
     n = g.order
-    if n > max_group_order:
+    if n > DEFAULT_SUBGROUP_BOUND:
         raise SizeLimitError(
-            f"subgroup enumeration limited to order {max_group_order}, group has order {n}"
+            f"subgroup enumeration limited to order {DEFAULT_SUBGROUP_BOUND}, group has order {n}"
         )
     trivial = 1 << g.identity
     found = {trivial}
@@ -428,10 +446,14 @@ def coset_action_kernel(g: GroupTable, h: ElementSet) -> ElementSet:
         raise ValidationError("H is not a subgroup")
     n = g.order
     m = g.mul_array
+    members, inv = np.flatnonzero(h.mask()), np.array(g.inv)
     # Row t of conj is t H t^-1, whose |H| members are distinct, so x lies
-    # in every conjugate iff it occurs n times.
-    conj = m[m[:, np.flatnonzero(h.mask())], np.array(g.inv)[:, None]]
-    return ElementSet.from_mask(np.bincount(conj.ravel(), minlength=n) == n)
+    # in every conjugate iff it occurs n times over all t.
+    count = np.zeros(n, dtype=np.int64)
+    for rows in _row_blocks(n):
+        conj = m[m[rows][:, members], inv[rows, None]]
+        count += np.bincount(conj.ravel(), minlength=n)
+    return ElementSet.from_mask(count == n)
 
 
 def product_set(g: GroupTable, a: ElementSet, b: ElementSet) -> ElementSet:

@@ -129,20 +129,21 @@ def find_subgroup_in_product(
     x: ElementSet,
     s: int,
     nu: Fraction,
-    subgroup_bound: int = groups.DEFAULT_SUBGROUP_BOUND,
 ) -> ElementSet:
     """Largest subgroup H inside X^{s+1} with |H| > nu|X| (ties: least bits).
 
     Existence is guaranteed; an empty candidate set means a bug, so fail
     loudly with diagnostics.  When X^{s+1} is all of G we can return G
-    directly without enumerating the subgroup lattice.
+    directly without enumerating the subgroup lattice; otherwise the
+    lattice is enumerated, which `all_subgroups` allows up to order
+    DEFAULT_SUBGROUP_BOUND.
     """
     product = groups.iterated_product(g, x, s + 1)
     threshold = nu * len(x)
     if product.bits == (1 << g.order) - 1:
         return g.full_set()
     candidates = [
-        h for h in groups.all_subgroups(g, subgroup_bound)
+        h for h in groups.all_subgroups(g)
         if h.issubset(product) and Fraction(len(h)) > threshold
     ]
     if not candidates:
@@ -192,13 +193,15 @@ def build_cover(
     epsilon: Fraction | None = None,
     eta: Fraction | None = None,
     nu: Fraction | None = None,
-    subgroup_bound: int = groups.DEFAULT_SUBGROUP_BOUND,
 ) -> NeumannArtifacts:
     """Run the full pipeline and return the audited artifacts.
 
     epsilon defaults to the exact computed commuting probability (the
     strongest valid instantiation).  Every intermediate guarantee is
-    re-verified; violations raise ConsistencyError.
+    re-verified; violations raise ConsistencyError.  A group whose
+    X^{s+1} is not all of G and whose order is above
+    DEFAULT_SUBGROUP_BOUND raises SizeLimitError (see
+    `find_subgroup_in_product`).
     """
     report = commuting_probability(g)
     if epsilon is None:
@@ -220,7 +223,7 @@ def build_cover(
         )
 
     s = growth_index(g, x, params.nu)
-    h = find_subgroup_in_product(g, x, s, params.nu, subgroup_bound)
+    h = find_subgroup_in_product(g, x, s, params.nu)
     if Fraction(len(h)) <= params.nu * len(x):
         raise ConsistencyError("subgroup H too small")
     k = groups.coset_action_kernel(g, h)

@@ -489,7 +489,7 @@ def _naive_compose(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def naive_from_permutations(generators, degree=None, max_order=DEFAULT_MAX_ORDER, name=None):
+def naive_from_permutations(generators, degree=None, name=None):
     """BFS closure, then every product looked up by its permutation."""
     gens = [tuple(int(v) for v in g) for g in generators]
     if degree is None:
@@ -506,9 +506,9 @@ def naive_from_permutations(generators, degree=None, max_order=DEFAULT_MAX_ORDER
         for g in gens:
             q = _naive_compose(p, g)
             if q not in index:
-                if len(elements) >= max_order:
+                if len(elements) >= DEFAULT_MAX_ORDER:
                     raise SizeLimitError(
-                        f"closure exceeds maximum order {max_order} "
+                        f"closure exceeds maximum order {DEFAULT_MAX_ORDER} "
                         f"(found {len(elements)} elements so far)"
                     )
                 index[q] = len(elements)

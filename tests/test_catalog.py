@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -12,11 +13,17 @@ from groupcolour.catalog import (
     parse_group_text,
     resolve_groupspec,
 )
-from groupcolour.errors import ParseError, ValidationError
+from groupcolour.errors import ParseError, SizeLimitError, ValidationError
 from groupcolour.groups import conjugacy
 from groupcolour.stats import commuting_probability, is_abelian
 
 from helpers import naive_commuting_pairs, naive_permutation_closure
+
+
+@functools.cache
+def built(name: str, n: int):
+    """Builtin groups, each built once: S7 takes most of a second."""
+    return builtin(name, [n])
 
 
 class TestBuiltins:
@@ -25,13 +32,28 @@ class TestBuiltins:
         assert g.order == 5
         assert is_abelian(g)
 
-    @pytest.mark.parametrize("n,order", [(1, 1), (2, 2), (3, 6), (4, 24), (5, 120), (6, 720)])
+    @pytest.mark.parametrize("n,order", [(1, 1), (2, 2), (3, 6), (4, 24), (5, 120), (6, 720),
+                                         (7, 5040)])
     def test_symmetric_orders(self, n, order):
-        assert builtin("symmetric", [n]).order == order
+        assert built("symmetric", n).order == order
 
-    @pytest.mark.parametrize("n,order", [(3, 3), (4, 12), (5, 60), (6, 360)])
+    @pytest.mark.parametrize("n,order", [(3, 3), (4, 12), (5, 60), (6, 360), (7, 2520)])
     def test_alternating_orders(self, n, order):
-        assert builtin("alternating", [n]).order == order
+        assert built("alternating", n).order == order
+
+    @pytest.mark.parametrize("name,classes,c", [("symmetric", 15, Fraction(1, 336)),
+                                                ("alternating", 9, Fraction(1, 280))])
+    def test_degree7_commuting_probability(self, name, classes, c):
+        rep = commuting_probability(built(name, 7))
+        assert (rep.num_classes, rep.c) == (classes, c)
+
+    @pytest.mark.parametrize("name", ["symmetric", "alternating"])
+    def test_catalog_bound(self, name):
+        # The catalog line states n <= 7: 7! = 5040 is the maximum order.
+        assert "n <= 7 " in catalog.BUILTIN_NAMES[name]
+        assert built(name, 7).order <= 5040
+        with pytest.raises(SizeLimitError, match="exceeds maximum 5040"):
+            builtin(name, [8])
 
     def test_symmetric3_classes(self):
         assert conjugacy(builtin("symmetric", [3])).num_classes == 3

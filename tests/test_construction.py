@@ -41,7 +41,7 @@ def test_catalog_matches_loop_builders(monkeypatch):
     monkeypatch.setattr(catalog, "_heisenberg", naive_heisenberg)
     monkeypatch.setattr(groups, "from_permutations", naive_from_permutations)
     monkeypatch.setattr(groups, "from_cayley_table", naive_from_cayley_table)
-    monkeypatch.setattr(groups, "direct_product", lambda g, h, max_order=0: naive_direct_product(g, h))
+    monkeypatch.setattr(groups, "direct_product", naive_direct_product)
     oracles = [*catalog.catalog_groups(64), *(catalog.builtin(name, [p]) for name, p in LARGE)]
     assert len(built) == len(oracles)
     for g, h in zip(built, oracles):
@@ -68,19 +68,19 @@ def test_direct_product_matches_loops(gi, hi):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 6).flatmap(
+@given(st.integers(1, 5).flatmap(
     lambda d: st.lists(st.permutations(range(d)), max_size=3).map(lambda gens: (d, gens))))
-@example((6, [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]))
+@example((8, [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]))  # S8, past the maximum
 def test_from_permutations_matches_loops(case):
     degree, gens = case
     try:
-        expected = naive_from_permutations(gens, degree=degree, max_order=120)
+        expected = naive_from_permutations(gens, degree=degree)
     except GroupColourError as exc:
         with pytest.raises(type(exc)) as info:
-            from_permutations(gens, degree=degree, max_order=120)
+            from_permutations(gens, degree=degree)
         assert str(info.value) == str(exc)
         return
-    assert_same_group(from_permutations(gens, degree=degree, max_order=120), expected)
+    assert_same_group(from_permutations(gens, degree=degree), expected)
 
 
 @st.composite
@@ -134,6 +134,18 @@ def test_validator_matches_loop_validator(table):
         except OverflowError:
             return
         assert outcome(from_cayley_table, cells) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_tables() | loops(), st.integers(1, 40))
+@example([[0, 1, 2], [2, 0, 1], [1, 2, 1]], 3)  # the bad row lies in the third block
+@example(LOOP5, 1)                                 # one row per block
+def test_validator_in_row_blocks(table, cells):
+    # A budget of a few cells splits every check into many row blocks; the
+    # first failure, its message and the group stay those of the loops.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_BLOCK_CELLS", cells)
+        assert outcome(from_cayley_table, table) == outcome(naive_from_cayley_table, table)
 
 
 def test_array_input_is_copied():

@@ -215,8 +215,10 @@ class TestFromPermutations:
         assert np.array_equal(g1.mul_array, g2.mul_array)
 
     def test_size_limit(self):
-        with pytest.raises(SizeLimitError):
-            from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]], max_order=10)
+        # S8 has order 40320; the closure stops at DEFAULT_MAX_ORDER.
+        with pytest.raises(SizeLimitError, match=r"^closure exceeds maximum order 5040 "
+                                                 r"\(found 5040 elements so far\)$"):
+            from_permutations([[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]])
 
 
 class TestDirectProduct:

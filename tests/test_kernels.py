@@ -1,9 +1,10 @@
 """The array kernels over mul_array against their loop oracles."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcolour import catalog
+from groupcolour import catalog, groups
 from groupcolour.colouring import _edge_masks, class_witness, count_quadruples
 from groupcolour.groups import (
     ElementSet,
@@ -68,3 +69,13 @@ def test_kernels_match_loop_oracles(case):
     assert product_set(g, a, b) == naive_product_set(g, a, b)
     assert left_cosets(g, h) == naive_left_cosets(g, h)
     assert coset_action_kernel(g, h) == naive_coset_action_kernel(g, h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(group_and_sets(), st.integers(1, 200))
+def test_coset_action_kernel_in_row_blocks(case, cells):
+    # Conjugates t H t^-1 counted over blocks of t, not all n rows at once.
+    g, _, _, h = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_BLOCK_CELLS", cells)
+        assert coset_action_kernel(g, h) == naive_coset_action_kernel(g, h)
