@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from . import groups
-from .errors import ParseError, SizeLimitError, ValidationError, read_header, read_ints, split_lines
+from .errors import (ParseError, SizeLimitError, ValidationError, content_lines, long_digits,
+                     read_header, read_ints)
 from .groups import GroupTable
 
 HEISENBERG_PRIMES = (3, 5, 7)
@@ -173,10 +174,8 @@ def _one_param(name: str, params: tuple[int, ...]) -> int:
 _SPEC_RE = re.compile(r"^([a-z]+[a-z0-9]*)(?::(\d+(?:,\d+)*))?(?:\^(\d+))?$")
 
 
-def _above_max(digits: str) -> bool:
-    """Whether a groupspec integer has more significant digits than
-    DEFAULT_MAX_ORDER, and so exceeds it; such a string is never converted."""
-    return len(digits.lstrip("0")) > len(str(groups.DEFAULT_MAX_ORDER))
+# A groupspec integer with more digits than the maximum exceeds it.
+_SPEC_DIGITS = len(str(groups.DEFAULT_MAX_ORDER))
 
 
 def resolve_groupspec(spec: str) -> GroupTable:
@@ -196,13 +195,13 @@ def resolve_groupspec(spec: str) -> GroupTable:
         raise ValidationError(f"cannot parse groupspec {spec!r} (and no such file)")
     name, params, power = m.group(1), m.group(2), m.group(3)
     values = params.split(",") if params else []
-    if any(_above_max(v) for v in values):
+    if any(long_digits(v, _SPEC_DIGITS) for v in values):
         raise SizeLimitError(f"{name} parameter exceeds maximum {groups.DEFAULT_MAX_ORDER}")
     g = builtin(name, [int(v) for v in values])
     k = 1
     if power:
         # A longer exponent need only be known to exceed the maximum.
-        k = groups.DEFAULT_MAX_ORDER + 1 if _above_max(power) else int(power)
+        k = groups.DEFAULT_MAX_ORDER + 1 if long_digits(power, _SPEC_DIGITS) else int(power)
     if k < 1:
         raise ValidationError("direct power exponent must be >= 1")
     if g.order == 1 and k > groups.DEFAULT_MAX_ORDER:
@@ -253,6 +252,9 @@ def parse_group_text(text: str, source: str = "<input>") -> GroupTable:
     no, parts, rest = read_header(text, "group", source)
     if len(parts) != 2 or parts[0] not in ("perm", "table"):
         raise ParseError("expected header 'perm <degree>' or 'table <n>'", source, no, 1)
+    if long_digits(parts[1]):
+        raise ParseError(f"size exceeds maximum {groups.DEFAULT_MAX_ORDER}",
+                         source, no, len(parts[0]) + 2)
     try:
         size = int(parts[1])
     except ValueError:
@@ -267,7 +269,7 @@ def parse_group_text(text: str, source: str = "<input>") -> GroupTable:
 
     if parts[0] == "perm":
         gens = []
-        for no, s in split_lines(text, "group", source)[2]:
+        for no, s in content_lines(text, rest, no + 1):
             if not s.startswith("gen"):
                 raise ParseError("expected 'gen <cycles>' line", source, no, 1)
             gens.append(parse_cycles(s[3:], size, source, no))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import catalog, colouring, corners, neumann
 from .colouring import cover_avoids, count_quadruples, schur_number
 from .errors import ConsistencyError, GroupColourError
-from .groups import GroupTable
+from .groups import DEFAULT_MAX_ORDER, GroupTable
 from .stats import commuting_probability, is_abelian
 
 TREND_FAMILIES = ("cyclic", "dihedral", "symmetric", "heisenberg")
@@ -174,7 +174,8 @@ def trend_rows(family: str, lo: int, hi: int) -> list[dict]:
     if family not in TREND_FAMILIES:
         raise GroupColourError(f"unknown trend family {family!r}; choose from {TREND_FAMILIES}")
     rows = []
-    for n in range(lo, hi + 1):
+    # No parameter above the maximum order builds: no order is below its parameter.
+    for n in range(lo, min(hi, DEFAULT_MAX_ORDER) + 1):
         if family == "heisenberg" and n not in catalog.HEISENBERG_PRIMES:
             continue
         try:

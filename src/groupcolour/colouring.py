@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CoverError, ParseError, ValidationError, split_lines
-from .groups import DEFAULT_MAX_ORDER, ElementSet, GroupTable
+from .errors import CoverError, ParseError, ValidationError, long_digits, split_lines
+from .groups import DEFAULT_MAX_ORDER, ElementSet, GroupTable, _row_blocks
 from .stats import is_abelian
 
 DEFAULT_NODE_BUDGET = 10 ** 8
@@ -68,30 +68,37 @@ class Cover:
         return total == (1 << self.group_order) - 1
 
 
-def _pair_products(g: GroupTable, a: ElementSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The members of A in increasing order, the table xy over x, y in A,
-    and A's membership mask over G."""
+def _pair_blocks(g: GroupTable, a: ElementSet) -> Iterator[tuple[np.ndarray, ...]]:
+    """Over consecutive blocks of A's members x (`_row_blocks`): the block's
+    members, all of A's members y in increasing order, and for each (x, y)
+    whether xy and yx both lie in A and whether xy != yx."""
     member = a.mask()
     idx = np.flatnonzero(member)
-    return idx, g.mul_array[np.ix_(idx, idx)], member
+    for rows in _row_blocks(len(idx)):
+        xy = g.mul_array[np.ix_(idx[rows], idx)]
+        # A single block is the whole square table, whose transpose is yx.
+        yx = xy.T if len(xy) == len(idx) else g.mul_array[np.ix_(idx, idx[rows])].T
+        yield idx[rows], idx, member[xy] & member[yx], xy != yx
 
 
 def count_quadruples(g: GroupTable, a: ElementSet) -> tuple[int, int]:
     """(total, noncommuting) quadruples (x, y, xy, yx) in A^4, ordered pairs."""
-    _, xy, member = _pair_products(g, a)
-    both = member[xy] & member[xy.T]
-    return int(np.count_nonzero(both)), int(np.count_nonzero(both & (xy != xy.T)))
+    total = noncommuting = 0
+    for _, _, both, differ in _pair_blocks(g, a):
+        total += int(np.count_nonzero(both))
+        noncommuting += int(np.count_nonzero(both & differ))
+    return total, noncommuting
 
 
 def class_witness(g: GroupTable, a: ElementSet) -> tuple[int, int] | None:
     """The lexicographically first pair (x, y) with x, y, xy, yx in A and
     xy != yx, or None."""
-    idx, xy, member = _pair_products(g, a)
-    hit = member[xy] & member[xy.T] & (xy != xy.T)
-    if not hit.any():
-        return None
-    i, j = divmod(int(hit.argmax()), len(idx))
-    return int(idx[i]), int(idx[j])
+    for xs, ys, both, differ in _pair_blocks(g, a):
+        hit = both & differ
+        if hit.any():
+            i, j = divmod(int(hit.argmax()), len(ys))
+            return int(xs[i]), int(ys[j])
+    return None
 
 
 def cover_avoids(g: GroupTable, cover: Cover) -> tuple[bool, tuple[int, int, int] | None]:
@@ -242,6 +249,8 @@ def parse_cover_text(text: str, source: str = "<input>") -> Cover:
     no, parts, body = split_lines(text, "cover", source)
     if len(parts) != 3 or parts[0] != "cover":
         raise ParseError("expected header 'cover <k> <n>'", source, no, 1)
+    if long_digits(parts[2]):
+        raise ParseError(f"cover group order outside 1..{DEFAULT_MAX_ORDER}", source, no, 1)
     try:
         k, n = int(parts[1]), int(parts[2])
     except ValueError:

@@ -20,12 +20,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
 import numpy as np
 
 from .colouring import Cover, count_quadruples
-from .errors import CoverError, ParseError, read_header, read_ints
+from .errors import CoverError, ParseError, long_digits, read_header, read_ints
 from .groups import DEFAULT_MAX_ORDER, ElementSet, GroupTable
 
 DEFAULT_TRIALS = 32
@@ -198,7 +197,6 @@ def witness_finder(
     cover: Cover,
     seed: int = 0,
     trials: int = DEFAULT_TRIALS,
-    exhaustive_shifts: bool = False,
 ) -> WitnessTranscript:
     """Locate a colour class rich in quadruples (a, b, ab, ba).
 
@@ -219,17 +217,10 @@ def witness_finder(
     for r in range(1, k + 1):
         tail = sum(alphas[r:], Fraction(0))
         target = math.prod(alphas[:r]) * n * n
-        if exhaustive_shifts:
-            if n > 12 or r > 2:
-                raise ValueError("exhaustive shifts supported for n <= 12 and r <= 2")
-            shift_vectors = iter_product(range(n), repeat=r)
-        else:
-            # One deterministic stream per (seed, r, trial index); the
-            # accepted trial is the lowest-index success.
-            shift_vectors = (
-                _trial_shifts(seed, r, t, n) for t in range(trials)
-            )
-        for shifts in shift_vectors:
+        # One deterministic stream per (seed, r, trial index); the accepted
+        # trial is the lowest-index success.
+        for t in range(trials):
+            shifts = _trial_shifts(seed, r, t, n)
             inter = shifted_pair_set(g, cover.classes[order[0]].bits, shifts[0])
             for i in range(1, r):
                 inter = inter & shifted_pair_set(g, cover.classes[order[i]].bits, shifts[i])
@@ -329,6 +320,8 @@ def parse_pairs_text(text: str, source: str = "<input>") -> PairSet:
     no, parts, rest = read_header(text, "pairs", source)
     if len(parts) != 2 or parts[0] != "pairs":
         raise ParseError("expected header 'pairs <n>'", source, no, 1)
+    if long_digits(parts[1]):
+        raise ParseError(f"pairs size outside 1..{DEFAULT_MAX_ORDER}", source, no, 1)
     try:
         n = int(parts[1])
     except ValueError:

@@ -4,6 +4,7 @@ line-oriented file formats."""
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ class ParseError(GroupColourError):
         self.col = col
 
 
-# The line boundaries of str.splitlines(); "\r\n" counts as one.
+# The line boundaries content_lines splits at; "\r\n" counts as one.
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _BREAK = re.compile("\r\n|[" + _BREAKS + "]")
 _COMMENT = re.compile("#[^" + _BREAKS + "]*")
@@ -55,39 +56,34 @@ def read_header(text: str, kind: str, source: str) -> tuple[int, list[str], int]
     return no, text[start:end].split("#", 1)[0].split(), rest
 
 
-def split_lines(text: str, kind: str, source: str) -> tuple[int, list[str], list[tuple[int, str]]]:
-    """Read a line-oriented file line by line.
-
-    Returns `read_header`'s line number and fields, and the remaining
-    (line number, stripped text) pairs of the content lines.
-    """
-    no, fields, rest = read_header(text, kind, source)
+def content_lines(text: str, start: int, line: int) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each line of `text[start:]` that is
+    not blank once its comment is cut; the first line has number `line`."""
     items = []
-    for k, raw in enumerate(text[rest:].splitlines(), no + 1):
+    for k, raw in enumerate(text[start:].splitlines(), line):
         s = raw.split("#", 1)[0].strip()
         if s:
             items.append((k, s))
-    return no, fields, items
+    return items
 
 
-_NL, _SPACE, _DIGIT, _PLUS, _MINUS, _UNDERSCORE, _OTHER = range(7)
+def split_lines(text: str, kind: str, source: str) -> tuple[int, list[str], list[tuple[int, str]]]:
+    """`read_header`'s line number and fields, and the content lines after it."""
+    no, fields, rest = read_header(text, kind, source)
+    return no, fields, content_lines(text, rest, no + 1)
 
 
-def _char_class(ch: str) -> tuple[int, int]:
-    """Class of one character, and its decimal value (10 if not a digit)."""
-    if ch in _BREAKS:
-        return _NL, 10
-    if ch.isspace():
-        return _SPACE, 10
-    if ch.isdecimal():  # what int() reads as a digit
-        return _DIGIT, int(ch)
-    return {"+": _PLUS, "-": _MINUS, "_": _UNDERSCORE}.get(ch, _OTHER), 10
+# Fields of at most this many digits have values below 10**18.
+SHORT_FIELD = 18
+_DIGITS = re.compile(r"\d+")
 
 
-_ASCII_CLASSES = np.array([_char_class(chr(c))[0] for c in range(256)], dtype=np.uint8)
-
-# Fields of at most this many characters have values below 10**18.
-_SHORT_FIELD = 18
+def long_digits(digits: str, places: int = SHORT_FIELD) -> bool:
+    """Whether `digits` is a string of decimal digits with more than `places`
+    significant digits.  A file header size longer than a short field is
+    refused by this before it is converted; so is a groupspec integer with
+    more digits than DEFAULT_MAX_ORDER."""
+    return _DIGITS.fullmatch(digits) is not None and any(map(unicodedata.digit, digits[:-places]))
 
 
 @dataclass(frozen=True)
@@ -131,73 +127,70 @@ class IntLines:
 
 def read_ints(text: str, start: int, line: int) -> IntLines:
     """Read `text[start:]`, whose first line has number `line`, as lines of
-    integers, with `split_lines`' comments and blank lines.
+    integers, with `content_lines`' comments and blank lines.
 
-    Array operations over all characters at once classify them, find the
-    fields and their lines, check each field against int()'s grammar (an
-    optional sign, then digits with single underscores between them), and
-    convert the fields by Horner's rule; no step loops over lines.
+    A plain body, one whose content holds only ASCII digits, spaces, tabs
+    and newlines ("\r\n" counts as one) in fields of at most 18 digits, is
+    read by array operations over all its characters at once; every file
+    that `dump_pairs` and `dump_group` write is plain.  Every other body is
+    read by `content_lines` with one int() per field.
     """
     body = text[start:].replace("\r\n", "\n")
     if "#" in body:
         body = _COMMENT.sub("", body)
-    if body.isascii():
-        codes = np.frombuffer(body.encode("ascii"), np.uint8)
-        kind = np.take(_ASCII_CLASSES, codes)
-        digit = np.minimum(codes - ord("0"), 10)   # 10 where not a digit
-    else:
-        chars, at = np.unique(np.frombuffer(body.encode("utf-32-le"), np.uint32),
-                              return_inverse=True)
-        kind, digit = np.array([_char_class(chr(c)) for c in chars.tolist()],
-                               dtype=np.uint8).T[:, at]
-    size = len(kind)
+    ints = _read_plain(body, line)
+    return ints if ints is not None else _read_by_line(content_lines(text, start, line))
 
-    field = np.zeros(size + 2, bool)
-    field[1:-1] = kind > _SPACE
-    starts = np.flatnonzero(field[1:] > field[:-1])
-    lengths = np.flatnonzero(field[:-1] > field[1:]) - starts
-    nfields = len(starts)
 
-    # A field is an integer when each of its characters is a digit, a sign
-    # at its start before a digit, or an underscore between two digits.
-    is_digit = np.zeros(size + 2, bool)
+def _read_plain(body: str, line: int) -> IntLines | None:
+    """`read_ints` of a plain body by field starts, newline counts and
+    Horner's rule; None if the body is not plain."""
+    raw = body.encode("ascii", "replace")   # "?" for every other character
+    if raw.translate(None, b"0123456789 \t\n"):
+        return None
+    codes = np.frombuffer(raw, np.uint8)
+    digit = codes - np.uint8(ord("0"))      # wraps above 9 at non-digits
+    is_digit = np.zeros(len(codes) + 2, bool)
     is_digit[1:-1] = digit < 10
-    digit_after, digit_before = is_digit[2:], is_digit[:-2]
-    at_start = np.zeros(size, bool)
-    at_start[starts] = True
-    good = is_digit[1:-1] | (digit_after & (
-        (at_start & ((kind == _PLUS) | (kind == _MINUS))) | (digit_before & (kind == _UNDERSCORE))))
-    bad = np.flatnonzero(field[1:-1] & ~good)
-    del field, is_digit, at_start, good
+    edges = np.flatnonzero(is_digit[1:] != is_digit[:-1])
+    starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+    longest = int(lengths.max(initial=0))
+    if longest > SHORT_FIELD:
+        return None
+    row = np.searchsorted(np.flatnonzero(codes == ord("\n")), starts)
+    firsts = np.flatnonzero(np.diff(row, prepend=-1))
 
-    row = np.cumsum(kind == _NL, dtype=np.int32)[starts]
-    new_line = np.ones(nfields, bool)
-    new_line[1:] = row[1:] != row[:-1]
-    firsts = np.flatnonzero(new_line)
+    # Horner's rule over the first j digits of every field at once.
+    digit = np.concatenate((digit, np.zeros(SHORT_FIELD, np.uint8)))
+    values = np.zeros(len(starts), np.int64)
+    for j in range(longest):
+        more = lengths > j
+        values *= np.where(more, 10, 1)
+        values += digit[starts + j] * more
+    counts = np.diff(firsts, append=len(starts))
+    return IntLines(lines=row[firsts] + line, firsts=firsts, counts=counts,
+                    ok=np.ones(len(firsts), bool), values=values)
 
-    def line_of(fields: np.ndarray) -> np.ndarray:
-        return np.searchsorted(firsts, fields, "right") - 1
 
-    ok = np.ones(len(firsts), bool)
-    ok[line_of(np.searchsorted(starts, bad, "right") - 1)] = False
+def _read_by_line(items: list[tuple[int, str]]) -> IntLines:
+    """`read_ints` of any body's content lines, with one int() per field."""
+    rows = [[_int_or_none(f) for f in s.split()] for _, s in items]
+    counts = np.array([len(row) for row in rows], np.intp)
+    values = [0 if v is None else v for row in rows for v in row]
+    try:
+        values = np.array(values, np.int64)
+    except OverflowError:
+        values = np.array(values, object)
+    return IntLines(lines=np.array([no for no, _ in items], np.intp),
+                    firsts=np.cumsum(counts) - counts, counts=counts,
+                    ok=np.array([None not in row for row in rows], bool), values=values)
 
-    # Horner's rule over the first characters of every field at once.
-    digit = np.concatenate((digit, np.full(_SHORT_FIELD, 10, np.uint8)))
-    values = np.zeros(nfields, np.int64)
-    for j in range(min(int(lengths.max(initial=0)), _SHORT_FIELD)):
-        d = digit[starts + j]
-        values = np.where((d < 10) & (lengths > j), values * 10 + d, values)
-    values[kind[starts] == _MINUS] *= -1
-    long_fields = np.flatnonzero(lengths > _SHORT_FIELD)
-    long_fields = long_fields[ok[line_of(long_fields)]].tolist()
-    if long_fields:
-        exact = [int(body[s:s + k]) for s, k in
-                 zip(starts[long_fields].tolist(), lengths[long_fields].tolist())]
-        if not all(-2 ** 63 <= v < 2 ** 63 for v in exact):
-            values = values.astype(object)
-        values[long_fields] = exact
-    return IntLines(lines=row[firsts] + line, firsts=firsts,
-                    counts=np.diff(firsts, append=nfields), ok=ok, values=values)
+
+def _int_or_none(field: str) -> int | None:
+    try:
+        return int(field)
+    except ValueError:
+        return None
 
 
 class CoverError(GroupColourError):

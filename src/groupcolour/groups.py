@@ -21,16 +21,16 @@ from .errors import SizeLimitError, ValidationError
 DEFAULT_MAX_ORDER = 5040
 DEFAULT_SUBGROUP_BOUND = 128
 
-# The whole-table checks of from_cayley_table and the conjugate gather of
-# coset_action_kernel run over blocks of rows with at most this many cells,
-# so their temporaries stay a few MiB at any order.  Tables of up to 1024
-# elements are one block.
+# The table checks, conjugate gathers and products over a set's members
+# (from_cayley_table, coset_action_kernel, is_subgroup, class_witness...)
+# run over blocks of rows with at most this many cells, so their temporaries
+# stay a few MiB at any order.  Tables and sets of up to 1024 are one block.
 _BLOCK_CELLS = 1 << 20
 
 
 def _row_blocks(n: int) -> Iterator[slice]:
     """Consecutive slices of range(n), each of at most _BLOCK_CELLS // n rows."""
-    step = max(1, _BLOCK_CELLS // n)
+    step = max(1, _BLOCK_CELLS // max(n, 1))
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
 
@@ -405,7 +405,7 @@ def is_subgroup(g: GroupTable, s: ElementSet) -> bool:
         return False
     member = s.mask()
     idx = np.flatnonzero(member)
-    return bool(member[g.mul_array[np.ix_(idx, idx)]].all())
+    return all(member[g.mul_array[np.ix_(idx[rows], idx)]].all() for rows in _row_blocks(len(idx)))
 
 
 def all_subgroups(g: GroupTable) -> tuple[ElementSet, ...]:

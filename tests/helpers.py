@@ -12,7 +12,7 @@ import numpy as np
 from groupcolour.catalog import parse_cycles
 from groupcolour.colouring import Cover, SchurResult
 from groupcolour.corners import PairSet
-from groupcolour.errors import ParseError, SizeLimitError, ValidationError
+from groupcolour.errors import ParseError, SizeLimitError, ValidationError, long_digits
 from groupcolour.groups import DEFAULT_MAX_ORDER, ConjugacyData, ElementSet, GroupTable
 
 
@@ -554,6 +554,8 @@ def naive_parse_pairs_text(text: str, source: str = "<input>") -> PairSet:
     no, parts, body = naive_split_lines(text, "pairs", source)
     if len(parts) != 2 or parts[0] != "pairs":
         raise ParseError("expected header 'pairs <n>'", source, no, 1)
+    if long_digits(parts[1]):
+        raise ParseError(f"pairs size outside 1..{DEFAULT_MAX_ORDER}", source, no, 1)
     try:
         n = int(parts[1])
     except ValueError:
@@ -580,6 +582,8 @@ def naive_parse_group_text(text: str, source: str = "<input>") -> GroupTable:
     no, parts, body = naive_split_lines(text, "group", source)
     if len(parts) != 2 or parts[0] not in ("perm", "table"):
         raise ParseError("expected header 'perm <degree>' or 'table <n>'", source, no, 1)
+    if long_digits(parts[1]):
+        raise ParseError(f"size exceeds maximum {DEFAULT_MAX_ORDER}", source, no, len(parts[0]) + 2)
     try:
         size = int(parts[1])
     except ValueError:

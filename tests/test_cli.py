@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from groupcolour import catalog, corners
@@ -205,6 +207,13 @@ class TestTrend:
     def test_rows_helper_unknown_family(self):
         with pytest.raises(GroupColourError):
             trend_rows("simple", 1, 2)
+
+    @pytest.mark.parametrize("family,lo", [("cyclic", 5041), ("heisenberg", 8)])
+    def test_range_past_the_maximum_order(self, family, lo):
+        # No parameter above 5040 builds, so the walk stops there.
+        start = time.perf_counter()
+        assert trend_rows(family, lo, 10 ** 9) == []
+        assert time.perf_counter() - start < 0.05
 
 
 class TestCatalogVerb:

@@ -238,19 +238,6 @@ class TestWitnessFinder:
         t2 = witness_finder(g, cover, seed=11)
         assert t1 == t2
 
-    def test_exhaustive_shifts(self):
-        g = s3()
-        a3 = g.subset([0, 2, 5])
-        cover = Cover.of(6, [a3, a3.complement()])
-        t = witness_finder(g, cover, exhaustive_shifts=True)
-        assert t.success
-        assert t.verified_quads >= t.quad_lower_bound
-
-    def test_exhaustive_shifts_limits(self):
-        g = catalog.builtin("symmetric", [4])
-        with pytest.raises(ValueError):
-            witness_finder(g, Cover.of(24, [g.full_set()]), exhaustive_shifts=True)
-
     def test_failure_reported_not_raised(self):
         # zero sampling trials cannot accept any stage
         g = s3()

@@ -1,5 +1,7 @@
 """The array kernels over mul_array against their loop oracles."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,8 +76,28 @@ def test_kernels_match_loop_oracles(case):
 @settings(max_examples=40, deadline=None)
 @given(group_and_sets(), st.integers(1, 200))
 def test_coset_action_kernel_in_row_blocks(case, cells):
-    # Conjugates t H t^-1 counted over blocks of t, not all n rows at once.
-    g, _, _, h = case
+    # Conjugates t H t^-1 counted over blocks of t, not all n rows at once,
+    # and products xy over blocks of a set's members x.
+    g, a, b, h = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groups, "_BLOCK_CELLS", cells)
         assert coset_action_kernel(g, h) == naive_coset_action_kernel(g, h)
+        for s in (a, b, h, g.full_set()):
+            assert count_quadruples(g, s) == naive_count_quadruples(g, s)
+            assert class_witness(g, s) == naive_class_witness(g, s)
+            assert is_subgroup(g, s) == naive_is_subgroup(g, s)
+
+
+def test_pair_kernels_peak_on_order_5040():
+    g = catalog.builtin("dihedral", [2520])
+    full = g.full_set()
+    for kernel, expected in ((is_subgroup, True), (class_witness, (1, 2520)),
+                             (count_quadruples, (25401600, 19036080))):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert kernel(g, full) == expected
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, kernel.__name__

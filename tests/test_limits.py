@@ -45,13 +45,14 @@ FILES = [
     (["info", "g.grp"], "table 5041\n", "g.grp:1:7: size 5041 exceeds maximum 5040"),
     (["info", "g.grp"], "perm 5041\ngen (0 1)\n", "g.grp:1:6: size 5041 exceeds maximum 5040"),
     (["info", "g.grp"], "# header below\ntable 0\n", "g.grp:2:7: size must be >= 1"),
-    (["info", "g.grp"], f"table {LONG}\n", f"g.grp:1:7: bad size '{LONG}' in header"),
+    (["info", "g.grp"], f"perm {LONG}\ngen (0 1)\n", "g.grp:1:6: size exceeds maximum 5040"),
+    (["info", "g.grp"], f"table {LONG}\n", "g.grp:1:7: size exceeds maximum 5040"),
     (["corners", "symmetric:3", "--pairs", "a.pairs"], "pairs 5041\n0 0\n",
      "a.pairs:1:1: pairs size 5041 outside 1..5040"),
     (["corners", "symmetric:3", "--pairs", "a.pairs"], "pairs 0\n",
      "a.pairs:1:1: pairs size 0 outside 1..5040"),
     (["corners", "symmetric:3", "--pairs", "a.pairs"], f"pairs {LONG}\n0 0\n",
-     "a.pairs:1:1: non-integer size in pairs header"),
+     "a.pairs:1:1: pairs size outside 1..5040"),
     (["cover-check", "symmetric:3", "--cover", "c.cover"], "cover 1 4000000000\n3999999999\n",
      "c.cover:1:1: cover group order 4000000000 outside 1..5040"),
     (["quads", "symmetric:3", "--cover", "c.cover"], "cover 1 5041\n0\n",
@@ -59,7 +60,7 @@ FILES = [
     (["witness", "symmetric:3", "--cover", "c.cover"], "\ncover 1 0\n",
      "c.cover:2:1: cover group order 0 outside 1..5040"),
     (["cover-check", "symmetric:3", "--cover", "c.cover"], f"cover 1 {LONG}\n0\n",
-     "c.cover:1:1: non-integer sizes in cover header"),
+     "c.cover:1:1: cover group order outside 1..5040"),
 ]
 
 

@@ -1,6 +1,7 @@
 """The line-oriented parsers: the bulk integer reader against the per-line
 oracles, fuzzing, and dump/parse round trips."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groupcolour import catalog
+from groupcolour import catalog, errors
 from groupcolour.catalog import dump_group, parse_group_text
 from groupcolour.colouring import dump_cover, parse_cover_text, random_cover
 from groupcolour.corners import dump_pairs, parse_pairs_text, random_pairs
-from groupcolour.errors import GroupColourError, split_lines
+from groupcolour.errors import GroupColourError, read_ints, split_lines
 
 from helpers import naive_parse_group_text, naive_parse_pairs_text, naive_split_lines
 
@@ -142,6 +143,71 @@ def test_split_lines_matches_line_loop(text):
         assert str(info.value) == str(exc)
         return
     assert split_lines(text, "t", "f") == expected
+
+
+def same_int_lines(a, b) -> bool:
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               and getattr(a, f.name).dtype == getattr(b, f.name).dtype
+               for f in dataclasses.fields(a))
+
+
+@st.composite
+def plain_bodies(draw):
+    """A plain body, and a copy with one field or separator respelled so
+    that it is read line by line."""
+    values = st.integers(0, 10 ** 18 - 1) | st.integers(0, 99)
+    lines = draw(st.lists(st.lists(values.map(str), max_size=4), max_size=6))
+    seps = [[draw(st.sampled_from([" ", "\t", "  "])) for _ in line] for line in lines]
+    ends = [draw(st.sampled_from(["\n", "\r\n", " # c\n"])) for _ in lines]
+
+    def text():
+        return "".join("".join(sep + f for sep, f in zip(line_seps, line)) + end
+                       for line, line_seps, end in zip(lines, seps, ends))
+    plain = text()
+    fields = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
+    if not fields:
+        return plain, "\u3000" + plain
+    i, j = draw(st.sampled_from(fields))
+    f = lines[i][j]
+    how = draw(st.sampled_from(["+", "\xa0"] + ["_"] * (len(f) > 1)))
+    if how == "+":
+        lines[i][j] = "+" + f
+    elif how == "_":
+        lines[i][j] = f[0] + "_" + f[1:]
+    else:
+        seps[i][j] = "\xa0"
+    return plain, text()
+
+
+@settings(max_examples=150, deadline=None)
+@given(plain_bodies())
+@example(("", "\u3000"))
+@example(("\n", "\xa0\n"))
+@example(("1 " + "9" * 18 + "\n", "+1 " + "9" * 18 + "\n"))
+@example(("1 " + "9" * 19 + "\n", "+1 " + "9" * 19 + "\n"))
+def test_plain_body_reads_as_line_loop(bodies):
+    plain, respelled = bodies
+    by_line = read_ints(respelled, 0, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        if max(map(len, plain.split()), default=0) <= 18:
+            mp.setattr(errors, "content_lines", no_line_loop)
+        assert same_int_lines(read_ints(plain, 0, 1), by_line)
+
+
+def no_line_loop(*args):
+    raise AssertionError("read line by line")
+
+
+def test_written_files_are_plain(monkeypatch):
+    # Every file the package writes is read by the array path.
+    monkeypatch.setattr(errors, "content_lines", no_line_loop)
+    for g in GROUPS:
+        assert parse_group_text(dump_group(g)).mul_array.tolist() == g.mul_array.tolist()
+        for density in (0.0, 0.5, 1.0):
+            a = random_pairs(g.order, seed=g.order, density=density)
+            assert parse_pairs_text(dump_pairs(a)) == a
+    a = random_pairs(343, seed=0, density=0.25)
+    assert parse_pairs_text(dump_pairs(a)) == a
 
 
 GRAMMAR = ["0", "+1", "-0", "007", "1_0", "0_1", "٣", "+٣", "١_٢", "1٣", "0" * 30 + "2",
