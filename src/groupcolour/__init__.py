@@ -6,7 +6,6 @@ from .colouring import (
     SchurResult,
     count_quadruples,
     cover_avoids,
-    random_cover,
     schur_number,
 )
 from .corners import (
@@ -38,7 +37,7 @@ from .groups import (
     from_permutations,
     product_set,
 )
-from .neumann import NeumannArtifacts, NeumannParams, build_cover, small_class_set
+from .neumann import NeumannArtifacts, build_cover, small_class_set
 from .stats import CommutingReport, commuting_probability, is_abelian
 
 __version__ = "0.1.0"

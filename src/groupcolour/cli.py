@@ -23,16 +23,6 @@ TREND_SCHUR_MAX_ORDER = 16
 TREND_SCHUR_BUDGET = 2_000_000
 
 
-def _frac(text: str) -> Fraction:
-    try:
-        if "/" in text:
-            p, q = text.split("/", 1)
-            return Fraction(int(p), int(q))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a rational like 3/8, got {text!r}")
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -112,8 +102,8 @@ def cmd_schur(args, out: _Out) -> int:
 
 def cmd_cover_build(args, out: _Out) -> int:
     g = _resolve(args.groupspec)
-    art = neumann.build_cover(g, epsilon=args.epsilon, eta=args.eta, nu=args.nu)
-    out.header(f"avoiding cover for {g.name} (epsilon={_fmt(art.params.epsilon)})")
+    art = neumann.build_cover(g)
+    out.header(f"avoiding cover for {g.name} (epsilon={_fmt(art.epsilon)})")
     for line in neumann.transcript_lines(art):
         out.kv(line)
     text = colouring.dump_cover(art.cover)
@@ -259,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cover-build", parents=[common],
                        help="build a quadruple-avoiding cover")
     p.add_argument("groupspec")
-    p.add_argument("--epsilon", type=_frac, default=None)
-    p.add_argument("--eta", type=_frac, default=None)
-    p.add_argument("--nu", type=_frac, default=None)
     p.add_argument("--out", default=None, help="write the cover file here instead of stdout")
     p.set_defaults(func=cmd_cover_build)
 

@@ -24,7 +24,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CoverError, ParseError, ValidationError, long_digits, split_lines
+from .errors import (SHORT_FIELD, CoverError, ParseError, ValidationError, long_digits,
+                     split_lines)
 from .groups import DEFAULT_MAX_ORDER, ElementSet, GroupTable, _row_blocks
 from .stats import is_abelian
 
@@ -243,14 +244,17 @@ def random_cover(g: GroupTable, k: int, seed: int = 0, overlap: float = 0.0) -> 
 def parse_cover_text(text: str, source: str = "<input>") -> Cover:
     """Parse the cover format: "cover <k> <n>" then k index-list lines.
 
-    The group order n must lie in 1..DEFAULT_MAX_ORDER; it is checked at the
-    header, before any class is read.
+    The group order n must lie in 1..DEFAULT_MAX_ORDER and the class count k
+    may have at most SHORT_FIELD digits; both are checked at the header,
+    before any class is read.
     """
     no, parts, body = split_lines(text, "cover", source)
     if len(parts) != 3 or parts[0] != "cover":
         raise ParseError("expected header 'cover <k> <n>'", source, no, 1)
     if long_digits(parts[2]):
         raise ParseError(f"cover group order outside 1..{DEFAULT_MAX_ORDER}", source, no, 1)
+    if long_digits(parts[1]):
+        raise ParseError(f"cover class count longer than {SHORT_FIELD} digits", source, no, 1)
     try:
         k, n = int(parts[1]), int(parts[2])
     except ValueError:

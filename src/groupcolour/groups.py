@@ -10,6 +10,7 @@ kernels.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -179,14 +180,23 @@ class ConjugacyData:
 def _entries(table, n: int) -> np.ndarray:
     """The entries of a table with n rows as an n x n array, range-checked.
 
-    Rows are checked in order, each for its length and then for its
-    entries, so the first bad row decides the message.
+    Rows are checked in order, each for its length, then for entries that
+    are not integers (by operator.index: a float such as 1.5 or 1.0 is
+    refused, not truncated), then for its range, so the first bad row
+    decides the message.
     """
     short = next((i for i, row in enumerate(table) if len(row) != n), n)
+    error = f"row {short} has length {len(table[short])}, expected {n}" if short < n else None
     cells = np.asarray(table[:short])
     if cells.dtype.kind not in "iu" or cells.ndim != 2:
-        # int() of every entry, as Python ints: exact at any size.
-        cells = np.frompyfunc(int, 1, 1)(np.array(table[:short], dtype=object).reshape(short, n))
+        # Every entry as a Python int: exact at any size.
+        cells = np.array(table[:short], dtype=object).reshape(short, n)
+        for i, row in enumerate(cells):
+            try:
+                cells[i] = [operator.index(v) for v in row]
+            except TypeError:
+                cells, error = cells[:i], f"non-integer entry in row {i}"
+                break
     for rows in _row_blocks(n):
         block = cells[rows]
         out = block >= n
@@ -196,8 +206,8 @@ def _entries(table, n: int) -> np.ndarray:
             i, j = divmod(int(out.argmax()), n)
             raise ValidationError(
                 f"entry {block[i, j]} in row {rows.start + i} out of range 0..{n - 1}")
-    if short < n:
-        raise ValidationError(f"row {short} has length {len(table[short])}, expected {n}")
+    if error:
+        raise ValidationError(error)
     return cells
 
 

@@ -3,7 +3,7 @@ probability.
 
 Pipeline: collect the elements with small conjugacy classes (X), find the
 last stage s at which iterated products of X still grow linearly, locate a
-subgroup H inside X^{s+1} with |H| > nu*|X| (guaranteed to exist; we certify
+subgroup H inside X^{s+1} with |H| > NU*|X| (guaranteed to exist; we certify
 it by enumeration rather than relying on the existential theorem), take the
 normal core K of H, and cover G by the nontrivial cosets of K plus
 rank-slices of K.  Two elements of K in the same slice that are conjugate
@@ -24,19 +24,8 @@ from .groups import ElementSet, GroupTable, conjugacy
 from .stats import commuting_probability
 
 
-@dataclass(frozen=True)
-class NeumannParams:
-    epsilon: Fraction
-    eta: Fraction
-    nu: Fraction = Fraction(1, 2)
-
-    def __post_init__(self) -> None:
-        if not 0 < self.epsilon <= 1:
-            raise ValidationError("epsilon must be in (0, 1]")
-        if not 0 < self.eta < self.epsilon:
-            raise ValidationError("eta must satisfy 0 < eta < epsilon")
-        if not 0 < self.nu < 1:
-            raise ValidationError("nu must be in (0, 1)")
+# The nu of Neumann's theorem: H is a subgroup with |H| > NU |X|.
+NU = Fraction(1, 2)
 
 
 def default_eta(epsilon: Fraction) -> Fraction:
@@ -53,23 +42,12 @@ def default_eta(epsilon: Fraction) -> Fraction:
     return min(approx, half)
 
 
-def make_params(
-    epsilon: Fraction,
-    eta: Fraction | None = None,
-    nu: Fraction | None = None,
-) -> NeumannParams:
-    return NeumannParams(
-        epsilon=epsilon,
-        eta=eta if eta is not None else default_eta(epsilon),
-        nu=nu if nu is not None else Fraction(1, 2),
-    )
-
-
 @dataclass(frozen=True)
 class NeumannArtifacts:
     """Full audit of a cover construction run."""
 
-    params: NeumannParams
+    epsilon: Fraction
+    eta: Fraction
     X: ElementSet
     kappa: Fraction
     s: int
@@ -95,19 +73,17 @@ def small_class_set(g: GroupTable, eta: Fraction, conj=None) -> ElementSet:
     return ElementSet(g.order, bits)
 
 
-def growth_index(g: GroupTable, x: ElementSet, nu: Fraction) -> int:
-    """Maximal s with |X^s| >= (1 + (1-nu)(s-1)) |X|.
+def growth_index(g: GroupTable, x: ElementSet) -> int:
+    """Maximal s with |X^s| >= (1 + (1-NU)(s-1)) |X|.
 
     s = 1 always works; the linear lower bound caps s at
-    (kappa^-1 - nu)/(1 - nu) because |X^s| <= |G|.
+    (kappa^-1 - NU)/(1 - NU) because |X^s| <= |G|.
     """
     if g.identity not in x:
         raise ValidationError("X must contain the identity")
-    if not 0 < nu < 1:
-        raise ValidationError("nu must be in (0, 1)")
     base = len(x)
     kappa = Fraction(base, g.order)
-    cap = int((1 / kappa - nu) / (1 - nu))
+    cap = int((1 / kappa - NU) / (1 - NU))
     best = 1
     power = x
     stable = False
@@ -119,18 +95,13 @@ def growth_index(g: GroupTable, x: ElementSet, nu: Fraction) -> int:
                 stable = True
             power = nxt
             size = len(power)
-        if Fraction(size) >= (1 + (1 - nu) * (s - 1)) * base:
+        if Fraction(size) >= (1 + (1 - NU) * (s - 1)) * base:
             best = s
     return best
 
 
-def find_subgroup_in_product(
-    g: GroupTable,
-    x: ElementSet,
-    s: int,
-    nu: Fraction,
-) -> ElementSet:
-    """Largest subgroup H inside X^{s+1} with |H| > nu|X| (ties: least bits).
+def find_subgroup_in_product(g: GroupTable, x: ElementSet, s: int) -> ElementSet:
+    """Largest subgroup H inside X^{s+1} with |H| > NU|X| (ties: least bits).
 
     Existence is guaranteed; an empty candidate set means a bug, so fail
     loudly with diagnostics.  When X^{s+1} is all of G we can return G
@@ -139,7 +110,7 @@ def find_subgroup_in_product(
     DEFAULT_SUBGROUP_BOUND.
     """
     product = groups.iterated_product(g, x, s + 1)
-    threshold = nu * len(x)
+    threshold = NU * len(x)
     if product.bits == (1 << g.order) - 1:
         return g.full_set()
     candidates = [
@@ -148,7 +119,7 @@ def find_subgroup_in_product(
     ]
     if not candidates:
         raise ConsistencyError(
-            "no subgroup H in X^(s+1) with |H| > nu|X| -- implementation bug; "
+            "no subgroup H in X^(s+1) with |H| > NU|X| -- implementation bug; "
             f"X={sorted(x.members())} s={s} |X^(s+1)|={len(product)} "
             f"X^(s+1)={sorted(product.members())}"
         )
@@ -182,56 +153,44 @@ def _floor_rational_power(base: Fraction, exp: Fraction) -> int:
     return r
 
 
-def class_size_cap(params: NeumannParams, kappa: Fraction) -> int:
-    """R = floor((1/eta) ** ((1/kappa + 1 - 2 nu) / (1 - nu)))."""
-    exponent = (1 / kappa + 1 - 2 * params.nu) / (1 - params.nu)
-    return _floor_rational_power(1 / params.eta, exponent)
+def class_size_cap(eta: Fraction, kappa: Fraction) -> int:
+    """R = floor((1/eta) ** ((1/kappa + 1 - 2 NU) / (1 - NU)))."""
+    exponent = (1 / kappa + 1 - 2 * NU) / (1 - NU)
+    return _floor_rational_power(1 / eta, exponent)
 
 
-def build_cover(
-    g: GroupTable,
-    epsilon: Fraction | None = None,
-    eta: Fraction | None = None,
-    nu: Fraction | None = None,
-) -> NeumannArtifacts:
+def build_cover(g: GroupTable) -> NeumannArtifacts:
     """Run the full pipeline and return the audited artifacts.
 
-    epsilon defaults to the exact computed commuting probability (the
-    strongest valid instantiation).  Every intermediate guarantee is
-    re-verified; violations raise ConsistencyError.  A group whose
-    X^{s+1} is not all of G and whose order is above
-    DEFAULT_SUBGROUP_BOUND raises SizeLimitError (see
+    The construction is instantiated once: epsilon is the exact commuting
+    probability c(G) (the strongest valid choice), eta = default_eta(epsilon)
+    and nu = NU.  Every intermediate guarantee is re-verified; violations
+    raise ConsistencyError.  A group whose X^{s+1} is not all of G and whose
+    order is above DEFAULT_SUBGROUP_BOUND raises SizeLimitError (see
     `find_subgroup_in_product`).
     """
-    report = commuting_probability(g)
-    if epsilon is None:
-        epsilon = report.c
-    params = make_params(epsilon, eta, nu)
-    if report.c < params.epsilon:
-        raise ValidationError(
-            f"epsilon={params.epsilon} exceeds c(G)={report.c}"
-        )
+    epsilon = commuting_probability(g).c
+    eta = default_eta(epsilon)
 
     n = g.order
     conj = conjugacy(g)
-    x = small_class_set(g, params.eta, conj)
+    x = small_class_set(g, eta, conj)
     kappa = Fraction(len(x), n)
-    if kappa < (params.epsilon - params.eta) / (1 - params.eta):
+    if kappa < (epsilon - eta) / (1 - eta):
         raise ConsistencyError(
-            f"kappa={kappa} below (eps-eta)/(1-eta)="
-            f"{(params.epsilon - params.eta) / (1 - params.eta)}"
+            f"kappa={kappa} below (eps-eta)/(1-eta)={(epsilon - eta) / (1 - eta)}"
         )
 
-    s = growth_index(g, x, params.nu)
-    h = find_subgroup_in_product(g, x, s, params.nu)
-    if Fraction(len(h)) <= params.nu * len(x):
+    s = growth_index(g, x)
+    h = find_subgroup_in_product(g, x, s)
+    if Fraction(len(h)) <= NU * len(x):
         raise ConsistencyError("subgroup H too small")
     k = groups.coset_action_kernel(g, h)
     if not k.issubset(h):
         raise ConsistencyError("kernel K not contained in H")
 
-    r_cap = class_size_cap(params, kappa)
-    power_cap = (1 / params.eta) ** (s + 1)
+    r_cap = class_size_cap(eta, kappa)
+    power_cap = (1 / eta) ** (s + 1)
     for v in k:
         size = conj.class_sizes[conj.class_id[v]]
         if Fraction(size) > power_cap or size > r_cap:
@@ -257,12 +216,12 @@ def build_cover(
         raise ConsistencyError(f"{len(slices)} slices exceed R={r_cap}")
     index_h = n // len(h)
     index_k = n // len(k)
-    if Fraction(index_h) >= 1 / (params.nu * kappa):
+    if Fraction(index_h) >= 1 / (NU * kappa):
         raise ConsistencyError(f"|G/H|={index_h} not below 1/(nu*kappa)")
     if index_k > math.factorial(index_h):
         raise ConsistencyError(f"|G/K|={index_k} exceeds |G/H|!={math.factorial(index_h)}")
 
-    size_bound = math.factorial(int(1 / (params.nu * kappa))) - 1 + r_cap
+    size_bound = math.factorial(int(1 / (NU * kappa))) - 1 + r_cap
     if cover.size > size_bound:
         raise ConsistencyError(f"cover size {cover.size} exceeds bound {size_bound}")
 
@@ -271,7 +230,8 @@ def build_cover(
         raise ConsistencyError(f"emitted cover fails avoidance, witness {witness}")
 
     return NeumannArtifacts(
-        params=params,
+        epsilon=epsilon,
+        eta=eta,
         X=x,
         kappa=kappa,
         s=s,

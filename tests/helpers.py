@@ -4,6 +4,7 @@ These deliberately avoid the library's optimised code paths: they
 materialise tuples, loop naively, and enumerate exhaustively.
 """
 
+import operator
 import random
 from itertools import product
 
@@ -387,9 +388,12 @@ def naive_from_cayley_table(table, name: str = "G") -> GroupTable:
         raise ValidationError("empty table")
     rows = []
     for i, row in enumerate(table):
-        row = tuple(int(v) for v in row)
         if len(row) != n:
             raise ValidationError(f"row {i} has length {len(row)}, expected {n}")
+        try:
+            row = tuple(operator.index(v) for v in row)
+        except TypeError:
+            raise ValidationError(f"non-integer entry in row {i}")
         for v in row:
             if not 0 <= v < n:
                 raise ValidationError(f"entry {v} in row {i} out of range 0..{n - 1}")

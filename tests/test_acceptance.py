@@ -37,7 +37,7 @@ from groupcolour.groups import (
     is_subgroup,
     iterated_product,
 )
-from groupcolour.neumann import build_cover, growth_index
+from groupcolour.neumann import NU, build_cover, growth_index
 from groupcolour.stats import commuting_probability
 
 from helpers import (
@@ -125,21 +125,20 @@ def test_acceptance_4_cover_pipeline_invariants(capfd):
     for spec in ("symmetric:3", "dihedral:4", "quaternion8", "heisenberg:3"):
         g = catalog.resolve_groupspec(spec)
         art = build_cover(g)
-        p = art.params
-        assert p.epsilon == commuting_probability(g).c
+        assert art.epsilon == commuting_probability(g).c
         conj = conjugacy(g)
 
         # 1. kappa bound
         assert art.kappa == Fraction(len(art.X), g.order)
-        assert art.kappa >= (p.epsilon - p.eta) / (1 - p.eta)
+        assert art.kappa >= (art.epsilon - art.eta) / (1 - art.eta)
         # 2. growth maximality at the returned stage
-        assert art.s == growth_index(g, art.X, p.nu)
+        assert art.s == growth_index(g, art.X)
         grown = iterated_product(g, art.X, art.s)
-        assert Fraction(len(grown)) >= (1 + (1 - p.nu) * (art.s - 1)) * len(art.X)
+        assert Fraction(len(grown)) >= (1 + (1 - NU) * (art.s - 1)) * len(art.X)
         # 3. H containment and size
         assert is_subgroup(g, art.H)
         assert art.H.issubset(iterated_product(g, art.X, art.s + 1))
-        assert Fraction(len(art.H)) > p.nu * len(art.X)
+        assert Fraction(len(art.H)) > NU * len(art.X)
         # 4. K normal and inside H
         assert is_subgroup(g, art.K)
         assert art.K.issubset(art.H)
@@ -150,7 +149,7 @@ def test_acceptance_4_cover_pipeline_invariants(capfd):
         for v in art.K:
             assert conj.class_sizes[conj.class_id[v]] <= art.R
         # 6. factorial size bound
-        bound = math.factorial(int(1 / (p.nu * art.kappa))) - 1 + art.R
+        bound = math.factorial(int(1 / (NU * art.kappa))) - 1 + art.R
         assert art.size_bound == bound
         assert art.cover.size <= bound
 

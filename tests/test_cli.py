@@ -99,12 +99,6 @@ class TestCoverBuild:
         assert code2 == 0
         assert out2 == "avoids=true\n"
 
-    def test_bad_epsilon(self, capsys):
-        code, _, err = run(capsys, "cover-build", "symmetric:3",
-                           "--epsilon", "9/10", "--porcelain")
-        assert code == 1
-        assert "exceeds" in err
-
 
 class TestCoverCheck:
     def test_avoiding(self, capsys, s3_cover_file):

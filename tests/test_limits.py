@@ -2,9 +2,9 @@
 
 Each case names a size outside its bound: a builtin parameter, the order
 n! or n!/2 of `symmetric` and `alternating`, a `^k` exponent, a digit
-string too long for int(), or the size in a group, pairs or cover file
-header.  Each must exit 1 with one located `error:` line and no
-traceback, fast and in a few MiB.
+string too long for int(), the size in a group, pairs or cover file
+header, or the class count in a cover file header.  Each must exit 1 with
+one located `error:` line and no traceback, fast and in a few MiB.
 """
 
 import time
@@ -61,6 +61,10 @@ FILES = [
      "c.cover:2:1: cover group order 0 outside 1..5040"),
     (["cover-check", "symmetric:3", "--cover", "c.cover"], f"cover 1 {LONG}\n0\n",
      "c.cover:1:1: cover group order outside 1..5040"),
+    (["quads", "symmetric:3", "--cover", "c.cover"], f"cover {'9' * 100} 3\n",
+     "c.cover:1:1: cover class count longer than 18 digits"),
+    (["cover-check", "symmetric:3", "--cover", "c.cover"], f"cover {LONG} 3\n",
+     "c.cover:1:1: cover class count longer than 18 digits"),
 ]
 
 

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -5,20 +6,20 @@ import pytest
 from groupcolour import catalog
 from groupcolour.colouring import cover_avoids
 from groupcolour.errors import ValidationError
-from groupcolour.groups import all_subgroups, conjugacy, is_subgroup, iterated_product
+from groupcolour.groups import (all_subgroups, conjugacy, direct_product, is_subgroup,
+                                iterated_product)
 from groupcolour.neumann import (
-    NeumannParams,
+    NU,
     _floor_rational_power,
     build_cover,
     class_size_cap,
     default_eta,
     find_subgroup_in_product,
     growth_index,
-    make_params,
     small_class_set,
     transcript_lines,
 )
-from groupcolour.stats import commuting_probability
+from groupcolour.stats import commuting_probability, is_abelian
 
 
 def s3():
@@ -26,24 +27,11 @@ def s3():
 
 
 class TestParams:
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            NeumannParams(Fraction(0), Fraction(1, 4))
-        with pytest.raises(ValidationError):
-            NeumannParams(Fraction(1, 2), Fraction(1, 2))
-        with pytest.raises(ValidationError):
-            NeumannParams(Fraction(1, 2), Fraction(1, 4), Fraction(1))
-
     def test_default_eta_clamped(self):
         for eps in (Fraction(1, 2), Fraction(5, 8), Fraction(11, 27), Fraction(99, 100)):
             eta = default_eta(eps)
             assert 0 < eta < eps
             assert eta <= eps / 2
-
-    def test_make_params_defaults(self):
-        p = make_params(Fraction(1, 2))
-        assert p.nu == Fraction(1, 2)
-        assert 0 < p.eta < p.epsilon
 
 
 class TestSmallClassSet:
@@ -76,35 +64,34 @@ class TestGrowthIndex:
     def test_full_set(self):
         g = s3()
         # X = G: cap is (1 - nu)/(1 - nu) = 1
-        assert growth_index(g, g.full_set(), Fraction(1, 2)) == 1
+        assert growth_index(g, g.full_set()) == 1
 
     def test_subgroup_stops_growing(self):
         g = s3()
         a3 = next(h for h in all_subgroups(g) if len(h) == 3)
         # |A3^s| = 3 for all s; 3 >= (1 + s/2 - 1/2)*3 only at s = 1
-        assert growth_index(g, a3, Fraction(1, 2)) == 1
+        assert growth_index(g, a3) == 1
 
     def test_requires_identity(self):
         g = s3()
         with pytest.raises(ValidationError):
-            growth_index(g, g.subset([1, 2]), Fraction(1, 2))
+            growth_index(g, g.subset([1, 2]))
 
     def test_definition_holds(self):
         g = catalog.builtin("dihedral", [6])
-        nu = Fraction(1, 2)
         for eta in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)):
             x = small_class_set(g, eta)
-            s = growth_index(g, x, nu)
+            s = growth_index(g, x)
             grown = iterated_product(g, x, s)
-            assert Fraction(len(grown)) >= (1 + (1 - nu) * (s - 1)) * len(x)
+            assert Fraction(len(grown)) >= (1 + (1 - NU) * (s - 1)) * len(x)
 
 
 class TestFindSubgroup:
     def test_s3_small_set(self):
         g = s3()
         x = small_class_set(g, Fraction(1, 2))  # {e} + 3-cycles = A3
-        s = growth_index(g, x, Fraction(1, 2))
-        h = find_subgroup_in_product(g, x, s, Fraction(1, 2))
+        s = growth_index(g, x)
+        h = find_subgroup_in_product(g, x, s)
         assert is_subgroup(g, h)
         assert Fraction(len(h)) > Fraction(1, 2) * len(x)
         assert h.issubset(iterated_product(g, x, s + 1))
@@ -112,7 +99,7 @@ class TestFindSubgroup:
     def test_full_product_shortcut(self):
         g = catalog.builtin("heisenberg", [3])
         x = g.full_set()
-        h = find_subgroup_in_product(g, x, 1, Fraction(1, 2))
+        h = find_subgroup_in_product(g, x, 1)
         assert h.bits == g.full_set().bits
 
 
@@ -136,39 +123,43 @@ class TestFloorRationalPower:
                 assert Fraction(got + 1) ** q > Fraction(base_n) ** p
 
 
+# The 40 non-Abelian groups of catalog_groups(64), each named by the
+# groupspecs of its direct factors, joined by " x ".
+NONABELIAN_SPECS = [f"dihedral:{n}" for n in range(3, 33)] + [
+    "symmetric:3", "symmetric:4", "alternating:4", "alternating:5", "quaternion8",
+    "heisenberg:3", "quaternion8 x cyclic:2", "dihedral:4 x cyclic:2",
+    "symmetric:3 x symmetric:3", "symmetric:3 x cyclic:2",
+]
+
+
+def resolve(spec):
+    return functools.reduce(direct_product, map(catalog.resolve_groupspec, spec.split(" x ")))
+
+
 class TestBuildCover:
-    @pytest.mark.parametrize("spec", ["symmetric:3", "dihedral:4", "quaternion8", "heisenberg:3"])
+    def test_specs_are_the_nonabelian_catalog_groups(self):
+        names = [g.name for g in catalog.catalog_groups(64) if not is_abelian(g)]
+        assert [resolve(spec).name for spec in NONABELIAN_SPECS] == names
+
+    @pytest.mark.parametrize("spec", NONABELIAN_SPECS)
     def test_pipeline_invariants(self, spec):
-        g = catalog.resolve_groupspec(spec)
+        g = resolve(spec)
         art = build_cover(g)
-        p = art.params
         # kappa bound
-        assert art.kappa >= (p.epsilon - p.eta) / (1 - p.eta)
+        assert art.kappa >= (art.epsilon - art.eta) / (1 - art.eta)
         # subgroup chain
         assert is_subgroup(g, art.H)
         assert is_subgroup(g, art.K)
         assert art.K.issubset(art.H)
-        assert Fraction(len(art.H)) > p.nu * len(art.X)
+        assert Fraction(len(art.H)) > NU * len(art.X)
         # index bounds
         index_h = g.order // len(art.H)
-        assert Fraction(index_h) < 1 / (p.nu * art.kappa)
+        assert Fraction(index_h) < 1 / (NU * art.kappa)
         # cover is valid and avoiding
         assert art.cover.covers_group()
         ok, _ = cover_avoids(g, art.cover)
         assert ok
         assert art.cover.size <= art.size_bound
-
-    def test_epsilon_above_c_rejected(self):
-        g = s3()
-        with pytest.raises(ValidationError, match="exceeds"):
-            build_cover(g, epsilon=Fraction(3, 4))
-
-    def test_explicit_eta(self):
-        g = s3()
-        art = build_cover(g, eta=Fraction(1, 3))
-        assert art.params.eta == Fraction(1, 3)
-        ok, _ = cover_avoids(g, art.cover)
-        assert ok
 
     def test_abelian_single_slice_family(self):
         # abelian groups: X = G, H = K = G, cover is one slice per element
@@ -178,9 +169,8 @@ class TestBuildCover:
         assert art.cover.is_partition()
 
     def test_r_cap_formula(self):
-        p = make_params(Fraction(1, 2), eta=Fraction(1, 4))
-        # kappa = 1/2: exponent (2 + 1 - 1)/(1/2) = 4, R = 4^4
-        assert class_size_cap(p, Fraction(1, 2)) == 256
+        # eta = 1/4, kappa = 1/2: exponent (2 + 1 - 1)/(1/2) = 4, R = 4^4
+        assert class_size_cap(Fraction(1, 4), Fraction(1, 2)) == 256
 
     def test_transcript_keys(self):
         art = build_cover(s3())

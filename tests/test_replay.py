@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -59,6 +60,7 @@ CASES = [
     ["cover-build", "symmetric:3"],
     ["cover-build", "heisenberg:3", "--porcelain"],
     ["cover-build", "dihedral:65", "--porcelain"],
+    ["cover-build", "dihedral:8", "--nu", "1/1000000000"],
     ["cover-check", "symmetric:3", "--cover", "s3.cover"],
     ["cover-check", "symmetric:3", "--cover", "bad.cover"],
     ["cover-check", "symmetric:3", "--cover", "huge.cover"],
@@ -71,9 +73,14 @@ CASES = [
 
 
 def run(argv: list[str]) -> dict:
-    """Exit code, stdout and stderr of one in-process CLI run."""
+    """Exit code, stdout and stderr of one in-process CLI run.
+
+    argparse wraps its usage text to the terminal width, which it reads
+    from COLUMNS, so the run fixes the width at 80 columns.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
         try:
             code = main(list(argv))
         except SystemExit as exc:  # argparse usage errors
