@@ -23,15 +23,6 @@ from .groups import GroupTable
 
 HEISENBERG_PRIMES = (3, 5, 7)
 
-BUILTIN_NAMES = {
-    "cyclic": "cyclic n (order n)",
-    "dihedral": "dihedral n (order 2n)",
-    "symmetric": "symmetric n, n <= 7 (order n!)",
-    "alternating": "alternating n, 3 <= n <= 7 (order n!/2)",
-    "quaternion8": "quaternion group (order 8)",
-    "heisenberg": "heisenberg p, p in {3,5,7} (order p^3)",
-}
-
 
 def _check_order(family: str, order: int) -> None:
     # Checked before the order^2 table is allocated.
@@ -107,27 +98,16 @@ def _alternating(n: int) -> GroupTable:
     return groups.from_permutations(gens, degree=n, name=f"A{n}")
 
 
-_QUAT_UNITS = {
-    # (u1, u2) -> (u3, sign) with units 0=1, 1=i, 2=j, 3=k
-    (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-    (1, 0): (1, 1), (2, 0): (2, 1), (3, 0): (3, 1),
-    (1, 1): (0, -1), (2, 2): (0, -1), (3, 3): (0, -1),
-    (1, 2): (3, 1), (2, 1): (3, -1),
-    (2, 3): (1, 1), (3, 2): (1, -1),
-    (3, 1): (2, 1), (1, 3): (2, -1),
-}
+# NEG[u1, u2] is 1 iff the product of units u1 u2 is negative: i*i = -1, j*i = -k ...
+_Q8_NEG = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.uint8)
 
 
 def _quaternion8() -> GroupTable:
-    # Index 2u + s: element (-1)^s * unit u, units ordered 1, i, j, k.
-    def mulq(a: int, b: int) -> int:
-        u1, s1 = divmod(a, 2)
-        u2, s2 = divmod(b, 2)
-        u3, sign = _QUAT_UNITS[(u1, u2)]
-        s3 = (s1 + s2 + (0 if sign > 0 else 1)) % 2
-        return 2 * u3 + s3
-
-    table = [[mulq(a, b) for b in range(8)] for a in range(8)]
+    # Index 2u + s: element (-1)^s * unit u, units ordered 1, i, j, k.  The
+    # product's unit is u1 XOR u2 and its sign bit s1 ^ s2 ^ NEG[u1, u2].
+    x = np.arange(8, dtype=np.uint8)
+    u, s = x[:, None] >> 1, x[:, None] & 1
+    table = 2 * (u ^ u.T) + (s ^ s.T ^ _Q8_NEG[u, u.T])
     return groups.from_cayley_table(table, name="Q8")
 
 
@@ -145,30 +125,27 @@ def _heisenberg(p: int) -> GroupTable:
     return groups.from_cayley_table(table.reshape(n, n), name=f"Heis{p}")
 
 
+# name -> (builder, number of integer parameters, `catalog` line)
+FAMILIES = {
+    "cyclic": (_cyclic, 1, "cyclic n (order n)"),
+    "dihedral": (_dihedral, 1, "dihedral n (order 2n)"),
+    "symmetric": (_symmetric, 1, "symmetric n, n <= 7 (order n!)"),
+    "alternating": (_alternating, 1, "alternating n, 3 <= n <= 7 (order n!/2)"),
+    "quaternion8": (_quaternion8, 0, "quaternion group (order 8)"),
+    "heisenberg": (_heisenberg, 1, "heisenberg p, p in {3,5,7} (order p^3)"),
+}
+
+
 def builtin(name: str, params: Sequence[int] = ()) -> GroupTable:
     """Construct a built-in group by name and integer parameters."""
     params = tuple(int(v) for v in params)
-    if name == "cyclic":
-        return _cyclic(_one_param(name, params))
-    if name == "dihedral":
-        return _dihedral(_one_param(name, params))
-    if name == "symmetric":
-        return _symmetric(_one_param(name, params))
-    if name == "alternating":
-        return _alternating(_one_param(name, params))
-    if name == "quaternion8":
-        if params:
-            raise ValidationError("quaternion8 takes no parameters")
-        return _quaternion8()
-    if name == "heisenberg":
-        return _heisenberg(_one_param(name, params))
-    raise ValidationError(f"unknown builtin group {name!r}; see `catalog` for names")
-
-
-def _one_param(name: str, params: tuple[int, ...]) -> int:
-    if len(params) != 1:
-        raise ValidationError(f"{name} takes exactly one integer parameter")
-    return params[0]
+    if name not in FAMILIES:
+        raise ValidationError(f"unknown builtin group {name!r}; see `catalog` for names")
+    build, arity, _ = FAMILIES[name]
+    if len(params) != arity:
+        takes = "no parameters" if arity == 0 else "exactly one integer parameter"
+        raise ValidationError(f"{name} takes {takes}")
+    return build(*params)
 
 
 _SPEC_RE = re.compile(r"^([a-z]+[a-z0-9]*)(?::(\d+(?:,\d+)*))?(?:\^(\d+))?$")
@@ -301,36 +278,15 @@ def dump_group(g: GroupTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def catalog_names() -> list[str]:
-    return [f"{name} - {desc}" for name, desc in BUILTIN_NAMES.items()]
-
-
 def catalog_groups(max_order: int = 64) -> list[GroupTable]:
     """A fixed roster of catalog groups for property tests."""
-    roster: list[GroupTable] = []
-    for n in range(1, 13):
-        roster.append(_cyclic(n))
-    for n in range(3, 33):
-        if 2 * n <= max_order:
-            roster.append(_dihedral(n))
-    for n in (3, 4):
-        g = _symmetric(n)
-        if g.order <= max_order:
-            roster.append(g)
-    for n in (4, 5):
-        g = _alternating(n)
-        if g.order <= max_order:
-            roster.append(g)
-    roster.append(_quaternion8())
-    if 27 <= max_order:
-        roster.append(_heisenberg(3))
-    extras = []
-    q8 = _quaternion8()
-    c2 = _cyclic(2)
-    s3 = _symmetric(3)
-    d4 = _dihedral(4)
-    for g, h in ((q8, c2), (d4, c2), (s3, s3), (s3, c2)):
-        if g.order * h.order <= max_order:
-            extras.append(groups.direct_product(g, h))
-    roster.extend(extras)
+    specs = [*(f"cyclic:{n}" for n in range(1, 13)),
+             *(f"dihedral:{n}" for n in range(3, min(32, max_order // 2) + 1)),
+             "symmetric:3", "symmetric:4", "alternating:4", "alternating:5", "quaternion8",
+             "heisenberg:3"]
+    roster = [resolve_groupspec(spec) for spec in specs]
+    q8, d4, s3, c2 = (resolve_groupspec(spec)
+                      for spec in ("quaternion8", "dihedral:4", "symmetric:3", "cyclic:2"))
+    roster += [groups.direct_product(q8, c2), groups.direct_product(d4, c2),
+               resolve_groupspec("symmetric:3^2"), groups.direct_product(s3, c2)]
     return [g for g in roster if g.order <= max_order]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import catalog, colouring, corners, neumann
 from .colouring import cover_avoids, count_quadruples, schur_number
 from .errors import ConsistencyError, GroupColourError
-from .groups import DEFAULT_MAX_ORDER, GroupTable
+from .groups import DEFAULT_MAX_ORDER
 from .stats import commuting_probability, is_abelian
 
 TREND_FAMILIES = ("cyclic", "dihedral", "symmetric", "heisenberg")
@@ -49,12 +49,8 @@ class _Out:
         print(line)
 
 
-def _resolve(spec: str) -> GroupTable:
-    return catalog.resolve_groupspec(spec)
-
-
 def cmd_info(args, out: _Out) -> int:
-    g = _resolve(args.groupspec)
+    g = catalog.resolve_groupspec(args.groupspec)
     rep = commuting_probability(g)
     out.header(f"info {g.name}")
     out.kv(
@@ -65,7 +61,7 @@ def cmd_info(args, out: _Out) -> int:
 
 
 def cmd_cprob(args, out: _Out) -> int:
-    g = _resolve(args.groupspec)
+    g = catalog.resolve_groupspec(args.groupspec)
     rep = commuting_probability(g)
     out.header(f"commuting probability of {g.name}")
     out.kv(
@@ -76,18 +72,18 @@ def cmd_cprob(args, out: _Out) -> int:
 
 
 def cmd_quads(args, out: _Out) -> int:
-    g = _resolve(args.groupspec)
+    g = catalog.resolve_groupspec(args.groupspec)
     cover = colouring.load_cover(args.cover)
+    counts = [count_quadruples(g, cls) for cls in cover.classes]
     out.header(f"quadruple counts for {g.name}")
     out.kv(f"classes={cover.size}")
-    for i, cls in enumerate(cover.classes):
-        total, noncomm = count_quadruples(g, cls)
+    for i, (cls, (total, noncomm)) in enumerate(zip(cover.classes, counts)):
         out.kv(f"class={i} size={len(cls)} total={total} noncommuting={noncomm}")
     return 0
 
 
 def cmd_schur(args, out: _Out) -> int:
-    g = _resolve(args.groupspec)
+    g = catalog.resolve_groupspec(args.groupspec)
     res = schur_number(g, k_max=args.kmax, budget=args.budget)
     out.header(f"non-commuting Schur number of {g.name}")
     out.kv(f"k={res.k_value}")
@@ -101,7 +97,7 @@ def cmd_schur(args, out: _Out) -> int:
 
 
 def cmd_cover_build(args, out: _Out) -> int:
-    g = _resolve(args.groupspec)
+    g = catalog.resolve_groupspec(args.groupspec)
     art = neumann.build_cover(g)
     out.header(f"avoiding cover for {g.name} (epsilon={_fmt(art.epsilon)})")
     for line in neumann.transcript_lines(art):
@@ -117,7 +113,7 @@ def cmd_cover_build(args, out: _Out) -> int:
 
 
 def cmd_cover_check(args, out: _Out) -> int:
-    g = _resolve(args.groupspec)
+    g = catalog.resolve_groupspec(args.groupspec)
     cover = colouring.load_cover(args.cover)
     ok, witness = cover_avoids(g, cover)
     out.header(f"avoidance check for {g.name}")
@@ -130,7 +126,7 @@ def cmd_cover_check(args, out: _Out) -> int:
 
 
 def cmd_corners(args, out: _Out) -> int:
-    g = _resolve(args.groupspec)
+    g = catalog.resolve_groupspec(args.groupspec)
     pairs = corners.load_pairs(args.pairs)
     if pairs.n != g.order:
         raise GroupColourError(
@@ -150,7 +146,7 @@ def cmd_corners(args, out: _Out) -> int:
 
 
 def cmd_witness(args, out: _Out) -> int:
-    g = _resolve(args.groupspec)
+    g = catalog.resolve_groupspec(args.groupspec)
     cover = colouring.load_cover(args.cover)
     t = corners.witness_finder(g, cover, seed=args.seed, trials=args.trials)
     out.header(f"witness transcript for {g.name}")
@@ -211,8 +207,8 @@ def cmd_trend(args, out: _Out) -> int:
 
 def cmd_catalog(args, out: _Out) -> int:
     out.header("builtin groups")
-    for line in catalog.catalog_names():
-        out.kv(line)
+    for name, (_, _, line) in catalog.FAMILIES.items():
+        out.kv(f"{name} - {line}")
     return 0
 
 

@@ -24,12 +24,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import (SHORT_FIELD, CoverError, ParseError, ValidationError, long_digits,
-                     split_lines)
+from .errors import (SHORT_FIELD, CoverError, ParseError, SizeLimitError, ValidationError,
+                     long_digits, split_lines)
 from .groups import DEFAULT_MAX_ORDER, ElementSet, GroupTable, _row_blocks
 from .stats import is_abelian
 
 DEFAULT_NODE_BUDGET = 10 ** 8
+# The search recurses once per element and its edge table grows about as
+# |G|^3, so it is refused past 6!, where S6 still searches.
+SCHUR_MAX_ORDER = 720
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,8 @@ def _pair_blocks(g: GroupTable, a: ElementSet) -> Iterator[tuple[np.ndarray, ...
     """Over consecutive blocks of A's members x (`_row_blocks`): the block's
     members, all of A's members y in increasing order, and for each (x, y)
     whether xy and yx both lie in A and whether xy != yx."""
+    if a.n != g.order:
+        raise CoverError(f"cover class has group order {a.n}, group has order {g.order}")
     member = a.mask()
     idx = np.flatnonzero(member)
     for rows in _row_blocks(len(idx)):
@@ -194,11 +199,16 @@ def schur_number(g: GroupTable, k_max: int = 6, budget: int = DEFAULT_NODE_BUDGE
     monochromatic non-commuting quadruple, together with an avoiding
     (k+1)-partition.  A result past the node budget or k_max is a lower
     bound, flagged incomplete.  The node that exceeds the budget is
-    counted, so a budget-limited result reports nodes = budget + 1.
+    counted, so a budget-limited result reports nodes = budget + 1.  A
+    group of order above SCHUR_MAX_ORDER is refused before the edge table
+    is built.
     """
     if is_abelian(g):
         raise ValidationError("k(G) is defined for non-Abelian groups only")
     n = g.order
+    if n > SCHUR_MAX_ORDER:
+        raise SizeLimitError(
+            f"Schur search limited to order {SCHUR_MAX_ORDER}, group has order {n}")
     others = _edge_masks(g)
     stats = [0, 0]
     remaining = [budget]

@@ -204,11 +204,10 @@ def build_cover(g: GroupTable) -> NeumannArtifacts:
         for rank, v in enumerate(sorted(cls.members()), start=1):
             labels[v] = rank
 
-    max_rank = max((labels[v] for v in k), default=0)
-    slices = [
-        ElementSet.from_indices(n, [v for v in k if labels[v] == i])
-        for i in range(1, max_rank + 1)
-    ]
+    slice_bits = [0] * max((labels[v] for v in k), default=0)
+    for v in k:
+        slice_bits[labels[v] - 1] |= 1 << v
+    slices = [ElementSet(n, bits) for bits in slice_bits]
     cosets = [c for c in groups.left_cosets(g, k) if g.identity not in c]
     cover = Cover.of(n, cosets + slices)
 

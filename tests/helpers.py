@@ -473,6 +473,30 @@ def naive_dihedral(n: int) -> GroupTable:
     return naive_from_cayley_table(table, name=f"D{n}")
 
 
+_QUAT_UNITS = {
+    # (u1, u2) -> (u3, sign) with units 0=1, 1=i, 2=j, 3=k
+    (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
+    (1, 0): (1, 1), (2, 0): (2, 1), (3, 0): (3, 1),
+    (1, 1): (0, -1), (2, 2): (0, -1), (3, 3): (0, -1),
+    (1, 2): (3, 1), (2, 1): (3, -1),
+    (2, 3): (1, 1), (3, 2): (1, -1),
+    (3, 1): (2, 1), (1, 3): (2, -1),
+}
+
+
+def naive_quaternion8() -> GroupTable:
+    # Index 2u + s: element (-1)^s * unit u, units ordered 1, i, j, k.
+    def mulq(a: int, b: int) -> int:
+        u1, s1 = divmod(a, 2)
+        u2, s2 = divmod(b, 2)
+        u3, sign = _QUAT_UNITS[(u1, u2)]
+        s3 = (s1 + s2 + (0 if sign > 0 else 1)) % 2
+        return 2 * u3 + s3
+
+    table = [[mulq(a, b) for b in range(8)] for a in range(8)]
+    return naive_from_cayley_table(table, name="Q8")
+
+
 def naive_heisenberg(p: int) -> GroupTable:
     n = p ** 3
     table = [[0] * n for _ in range(n)]

@@ -50,7 +50,7 @@ class TestBuiltins:
     @pytest.mark.parametrize("name", ["symmetric", "alternating"])
     def test_catalog_bound(self, name):
         # The catalog line states n <= 7: 7! = 5040 is the maximum order.
-        assert "n <= 7 " in catalog.BUILTIN_NAMES[name]
+        assert "n <= 7 " in catalog.FAMILIES[name][2]
         assert built(name, 7).order <= 5040
         with pytest.raises(SizeLimitError, match="exceeds maximum 5040"):
             builtin(name, [8])

@@ -58,6 +58,19 @@ class TestQuads:
         assert lines[1] == "class=0 size=3 total=9 noncommuting=0"
         assert lines[2] == "class=1 size=3 total=0 noncommuting=0"
 
+    @pytest.mark.parametrize("spec,text,orders", [
+        ("symmetric:4", "cover 1 3\n0 1 2\n", (3, 24)),
+        ("symmetric:3", "cover 2 24\n" + " ".join(map(str, range(12))) + "\n"
+         + " ".join(map(str, range(12, 24))) + "\n", (24, 6)),
+        ("symmetric:3", "cover 1 24\n0 1 2\n", (24, 6)),  # indices all below |S3|
+    ], ids=["smaller", "larger", "larger-low-indices"])
+    def test_cover_of_another_order_refused(self, capsys, tmp_path, spec, text, orders):
+        path = tmp_path / "c.cover"
+        path.write_text(text)
+        code, out, err = run(capsys, "quads", spec, "--cover", str(path), "--porcelain")
+        assert (code, out) == (1, "")
+        assert err == f"error: cover class has group order {orders[0]}, group has order {orders[1]}\n"
+
 
 class TestSchur:
     def test_s3(self, capsys):

@@ -19,6 +19,7 @@ from helpers import (
     naive_from_cayley_table,
     naive_from_permutations,
     naive_heisenberg,
+    naive_quaternion8,
 )
 from test_groups import LOOP5, loops, relabel
 
@@ -35,10 +36,13 @@ def assert_same_group(g, h):
 
 def test_catalog_matches_loop_builders(monkeypatch):
     built = [*GROUPS, *(catalog.builtin(name, [p]) for name, p in LARGE)]
-    # Route every catalog builder through its loop oracle.
-    monkeypatch.setattr(catalog, "_cyclic", naive_cyclic)
-    monkeypatch.setattr(catalog, "_dihedral", naive_dihedral)
-    monkeypatch.setattr(catalog, "_heisenberg", naive_heisenberg)
+    # Route every catalog builder through its loop oracle; the permutation
+    # families go through naive_from_permutations.
+    loop_builders = {"cyclic": naive_cyclic, "dihedral": naive_dihedral,
+                     "quaternion8": naive_quaternion8, "heisenberg": naive_heisenberg}
+    assert set(catalog.FAMILIES) == {*loop_builders, "symmetric", "alternating"}
+    for name, oracle in loop_builders.items():
+        monkeypatch.setitem(catalog.FAMILIES, name, (oracle, *catalog.FAMILIES[name][1:]))
     monkeypatch.setattr(groups, "from_permutations", naive_from_permutations)
     monkeypatch.setattr(groups, "from_cayley_table", naive_from_cayley_table)
     monkeypatch.setattr(groups, "direct_product", naive_direct_product)

@@ -3,8 +3,9 @@
 Each case names a size outside its bound: a builtin parameter, the order
 n! or n!/2 of `symmetric` and `alternating`, a `^k` exponent, a digit
 string too long for int(), the size in a group, pairs or cover file
-header, or the class count in a cover file header.  Each must exit 1 with
-one located `error:` line and no traceback, fast and in a few MiB.
+header, the class count in a cover file header, or the order of a group
+given to the Schur search.  Each must exit 1 with one located `error:`
+line and no traceback, fast and in a few MiB.
 """
 
 import time
@@ -100,6 +101,12 @@ def test_file_header_refused(capsys, tmp_path, monkeypatch, argv, text, message)
     monkeypatch.chdir(tmp_path)
     (tmp_path / argv[-1]).write_text(text)
     check_refused(capsys, argv, message)
+
+
+def test_schur_order_refused(capsys):
+    # D361 (order 722) builds in a few MiB; its search would not.
+    check_refused(capsys, ["schur", "dihedral:361", "--porcelain"],
+                  "Schur search limited to order 720, group has order 722")
 
 
 @pytest.mark.parametrize("name", ["symmetric", "alternating"])
