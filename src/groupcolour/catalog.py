@@ -252,16 +252,37 @@ def parse_group_text(text: str, source: str = "<input>") -> GroupTable:
             gens.append(parse_cycles(s[3:], size, source, no))
         return groups.from_permutations(gens, degree=size)
 
-    body = read_ints(text, rest, no + 1)
-    rows = len(body.lines)
+    # The row count is checked before any entry and every line before any
+    # entry's range, as at a read of the whole body, so the first error of
+    # each kind is kept until every block is counted.  An entry out of range
+    # is kept out of the table, which needs only from_cayley_table's dtype.
+    table = np.zeros((size, size), np.min_scalar_type(size))
+    rows, last, error, stray = 0, no, None, None
+    for body in read_ints(text, rest, no + 1):
+        if len(body.lines):
+            last = int(body.lines[-1])
+        block = slice(rows, rows + len(body.lines))
+        rows = block.stop
+        if error is not None or rows > size:
+            continue
+        error = body.failure(source, [
+            (~body.ok, "non-integer table entry"),
+            (body.counts != size, lambda i: f"row has {body.counts[i]} entries, expected {size}"),
+        ])
+        if error is None and stray is None:
+            entries = body.values.reshape(-1, size)
+            out = (entries < 0) | (entries >= size)
+            if out.any():
+                i, j = divmod(int(out.argmax()), size)
+                stray = ValidationError(f"entry {entries[i, j]} in row {block.start + i} "
+                                        f"out of range 0..{size - 1}")
+            else:
+                table[block] = entries
     if rows != size:
-        raise ParseError(f"expected {size} table rows, found {rows}", source,
-                         int(body.lines[-1]) if rows else no, 1)
-    body.check(source, [
-        (~body.ok, "non-integer table entry"),
-        (body.counts != size, lambda i: f"row has {body.counts[i]} entries, expected {size}"),
-    ])
-    return groups.from_cayley_table(body.values.reshape(size, size), name=f"table<{size}>")
+        raise ParseError(f"expected {size} table rows, found {rows}", source, last, 1)
+    if error is not None or stray is not None:
+        raise error or stray
+    return groups.from_cayley_table(table, name=f"table<{size}>")
 
 
 def load_group(path: str) -> GroupTable:

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import (SHORT_FIELD, CoverError, ParseError, SizeLimitError, ValidationError,
-                     long_digits, split_lines)
+                     long_digits, read_header, read_ints)
 from .groups import DEFAULT_MAX_ORDER, ElementSet, GroupTable, _row_blocks
 from .stats import is_abelian
 
@@ -72,12 +72,25 @@ class Cover:
         return total == (1 << self.group_order) - 1
 
 
+def _same_order(n: int, g: GroupTable) -> None:
+    """Refuse a cover class of group order n for g, naming both orders."""
+    if n != g.order:
+        raise CoverError(f"cover class has group order {n}, group has order {g.order}")
+
+
+def check_cover(g: GroupTable, cover: Cover) -> None:
+    """Refuse a cover of another group order, then one that misses an
+    element of G."""
+    _same_order(cover.group_order, g)
+    if not cover.covers_group():
+        raise CoverError("classes do not cover G")
+
+
 def _pair_blocks(g: GroupTable, a: ElementSet) -> Iterator[tuple[np.ndarray, ...]]:
     """Over consecutive blocks of A's members x (`_row_blocks`): the block's
     members, all of A's members y in increasing order, and for each (x, y)
     whether xy and yx both lie in A and whether xy != yx."""
-    if a.n != g.order:
-        raise CoverError(f"cover class has group order {a.n}, group has order {g.order}")
+    _same_order(a.n, g)
     member = a.mask()
     idx = np.flatnonzero(member)
     for rows in _row_blocks(len(idx)):
@@ -110,8 +123,7 @@ def class_witness(g: GroupTable, a: ElementSet) -> tuple[int, int] | None:
 def cover_avoids(g: GroupTable, cover: Cover) -> tuple[bool, tuple[int, int, int] | None]:
     """True iff no class has a non-commuting quadruple; else a witness
     (class index, x, y)."""
-    if cover.group_order != g.order or not cover.covers_group():
-        raise CoverError("classes do not cover G")
+    check_cover(g, cover)
     for i, a in enumerate(cover.classes):
         w = class_witness(g, a)
         if w is not None:
@@ -258,7 +270,7 @@ def parse_cover_text(text: str, source: str = "<input>") -> Cover:
     may have at most SHORT_FIELD digits; both are checked at the header,
     before any class is read.
     """
-    no, parts, body = split_lines(text, "cover", source)
+    no, parts, rest = read_header(text, "cover", source)
     if len(parts) != 3 or parts[0] != "cover":
         raise ParseError("expected header 'cover <k> <n>'", source, no, 1)
     if long_digits(parts[2]):
@@ -271,18 +283,31 @@ def parse_cover_text(text: str, source: str = "<input>") -> Cover:
         raise ParseError("non-integer sizes in cover header", source, no, 1)
     if not 1 <= n <= DEFAULT_MAX_ORDER:
         raise ParseError(f"cover group order {n} outside 1..{DEFAULT_MAX_ORDER}", source, no, 1)
-    if len(body) != k:
-        raise ParseError(f"expected {k} class lines, found {len(body)}", source, no, 1)
-    classes = []
-    for no, s in body:
-        try:
-            idx = [int(v) for v in s.split()]
-        except ValueError:
-            raise ParseError("non-integer element index", source, no, 1)
-        for v in idx:
-            if not 0 <= v < n:
-                raise ParseError(f"element index {v} out of range 0..{n - 1}", source, no, 1)
-        classes.append(ElementSet.from_indices(n, idx))
+    # The class count is checked before any entry, so the first entry error
+    # is kept until every block is counted.
+    classes: list[ElementSet] = []
+    found, error = 0, None
+    for body in read_ints(text, rest, no + 1):
+        found += len(body.lines)
+        if error is not None or found > k:
+            continue
+        # Every content line has a field, so reduceat sees no empty line, and
+        # the first stray field from a failing line's start lies on that line.
+        stray = (body.values < 0) | (body.values >= n)
+        first = body.firsts
+        error = body.failure(source, [
+            (~body.ok, "non-integer element index"),
+            (np.logical_or.reduceat(stray, first),
+             lambda i: f"element index {body.values[first[i] + np.argmax(stray[first[i]:])]} "
+                       f"out of range 0..{n - 1}"),
+        ])
+        if error is None:
+            classes += (ElementSet.from_indices(n, body.values[a:a + c].tolist())
+                        for a, c in zip(first, body.counts))
+    if found != k:
+        raise ParseError(f"expected {k} class lines, found {found}", source, no, 1)
+    if error is not None:
+        raise error
     return Cover.of(n, classes)
 
 

@@ -23,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .colouring import Cover, count_quadruples
-from .errors import CoverError, ParseError, long_digits, read_header, read_ints
+from .colouring import Cover, check_cover, count_quadruples
+from .errors import ParseError, long_digits, read_header, read_ints
 from .groups import DEFAULT_MAX_ORDER, ElementSet, GroupTable
 
 DEFAULT_TRIALS = 32
@@ -100,10 +100,13 @@ class PairSet:
 
 
 def random_pairs(n: int, seed: int = 0, density: float = 0.5) -> PairSet:
-    # One rng.random() per cell in row-major order: seeded sets are fixed.
+    # One rng.random() per cell in row-major order, drawn one row at a time:
+    # seeded sets are fixed.
     rng = random.Random(seed)
-    draws = np.fromiter(iter(rng.random, None), dtype=np.float64, count=n * n)
-    return PairSet((draws < density).reshape(n, n))
+    matrix = np.empty((n, n), dtype=bool)
+    for row in matrix:
+        row[:] = np.fromiter(iter(rng.random, None), dtype=np.float64, count=n) < density
+    return PairSet(matrix)
 
 
 def corner_counts_by_z(g: GroupTable, a: PairSet) -> list[int]:
@@ -206,9 +209,8 @@ def witness_finder(
     density tail of the remaining classes.  The returned lower bound is
     certified against an independent brute-force quadruple count.
     """
+    check_cover(g, cover)
     n = g.order
-    if cover.group_order != n or not cover.covers_group():
-        raise CoverError("classes do not cover G")
     k = cover.size
     order = sorted(range(k), key=lambda i: (-len(cover.classes[i]), i))
     alphas = tuple(Fraction(len(cover.classes[i]), n) for i in order)
@@ -328,16 +330,20 @@ def parse_pairs_text(text: str, source: str = "<input>") -> PairSet:
         raise ParseError("non-integer size in pairs header", source, no, 1)
     if not 1 <= n <= DEFAULT_MAX_ORDER:
         raise ParseError(f"pairs size {n} outside 1..{DEFAULT_MAX_ORDER}", source, no, 1)
-    body = read_ints(text, rest, no + 1)
-    x, y = body.field(0), body.field(1)
-    body.check(source, [
-        (body.counts != 2, "expected 'x y' pair line"),
-        (~body.ok, "non-integer pair entry"),
-        ((x < 0) | (x >= n) | (y < 0) | (y >= n),
-         lambda i: f"pair ({x[i]},{y[i]}) out of range 0..{n - 1}"),
-    ])
     matrix = np.zeros((n, n), dtype=bool)
-    matrix[x, y] = True
+    # Blocks come in line order, so the first failing block holds the first
+    # failing line.
+    for body in read_ints(text, rest, no + 1):
+        x, y = body.field(0), body.field(1)
+        error = body.failure(source, [
+            (body.counts != 2, "expected 'x y' pair line"),
+            (~body.ok, "non-integer pair entry"),
+            ((x < 0) | (x >= n) | (y < 0) | (y >= n),
+             lambda i: f"pair ({x[i]},{y[i]}) out of range 0..{n - 1}"),
+        ])
+        if error is not None:
+            raise error
+        matrix[x, y] = True
     return PairSet(matrix)
 
 
@@ -347,7 +353,10 @@ def load_pairs(path: str) -> PairSet:
 
 
 def dump_pairs(a: PairSet) -> str:
-    lines = [f"pairs {a.n}"]
-    for x, y in a.pairs():
-        lines.append(f"{x} {y}")
-    return "\n".join(lines) + "\n"
+    """The pairs format, written one row x at a time."""
+    rows = [f"pairs {a.n}\n"]
+    for x, row in enumerate(a.matrix):
+        ys = np.flatnonzero(row).tolist()
+        if ys:
+            rows.append(f"{x} " + f"\n{x} ".join(map(str, ys)) + "\n")
+    return "".join(rows)

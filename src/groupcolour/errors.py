@@ -6,6 +6,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -67,12 +68,6 @@ def content_lines(text: str, start: int, line: int) -> list[tuple[int, str]]:
     return items
 
 
-def split_lines(text: str, kind: str, source: str) -> tuple[int, list[str], list[tuple[int, str]]]:
-    """`read_header`'s line number and fields, and the content lines after it."""
-    no, fields, rest = read_header(text, kind, source)
-    return no, fields, content_lines(text, rest, no + 1)
-
-
 # Fields of at most this many digits have values below 10**18.
 SHORT_FIELD = 18
 _DIGITS = re.compile(r"\d+")
@@ -109,8 +104,8 @@ class IntLines:
         out[has] = self.values[self.firsts[has] + j]
         return out
 
-    def check(self, source: str, checks) -> None:
-        """Raise a ParseError at the first line that fails a check.
+    def failure(self, source: str, checks) -> ParseError | None:
+        """The ParseError at the first line that fails a check, or None.
 
         `checks` are (failed, message) pairs, in the order each line is
         checked: `failed` is a bool per line, `message` a string or a
@@ -118,32 +113,50 @@ class IntLines:
         """
         failures = [(int(np.argmax(failed)), k) for k, (failed, _) in enumerate(checks)
                     if failed.any()]
-        if failures:
-            i, k = min(failures)
-            message = checks[k][1]
-            raise ParseError(message(i) if callable(message) else message,
-                             source, int(self.lines[i]), 1)
+        if not failures:
+            return None
+        i, k = min(failures)
+        message = checks[k][1]
+        return ParseError(message(i) if callable(message) else message,
+                          source, int(self.lines[i]), 1)
 
 
-def read_ints(text: str, start: int, line: int) -> IntLines:
+# read_ints reads a body in blocks of about this many characters, each cut
+# just after a "\n", so a parse holds the text, its result and one block.
+_BLOCK_CHARS = 1 << 14
+
+
+def read_ints(text: str, start: int, line: int) -> Iterator[IntLines]:
     """Read `text[start:]`, whose first line has number `line`, as lines of
     integers, with `content_lines`' comments and blank lines.
 
-    A plain body, one whose content holds only ASCII digits, spaces, tabs
-    and newlines ("\r\n" counts as one) in fields of at most 18 digits, is
-    read by array operations over all its characters at once; every file
-    that `dump_pairs` and `dump_group` write is plain.  Every other body is
-    read by `content_lines` with one int() per field.
+    The body is read in consecutive blocks of whole lines (`_BLOCK_CHARS`),
+    one IntLines each.  A plain block, one whose content holds only ASCII
+    digits, spaces, tabs and newlines ("\r\n" counts as one) in fields of at
+    most 18 digits, is read by array operations over all its characters at
+    once; every file that `dump_pairs`, `dump_group` and `dump_cover` write
+    is plain.  Every other block is read by `content_lines` with one int()
+    per field.  A block ends in a "\n", which ends a line either way, so
+    both readers see the same lines as a read of the whole body.
     """
-    body = text[start:].replace("\r\n", "\n")
-    if "#" in body:
-        body = _COMMENT.sub("", body)
-    ints = _read_plain(body, line)
-    return ints if ints is not None else _read_by_line(content_lines(text, start, line))
+    while start < len(text):
+        stop = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        raw = text[start:stop]
+        body = raw.replace("\r\n", "\n")
+        if "#" in body:
+            body = _COMMENT.sub("", body)
+        ints = _read_plain(body, line)
+        # A plain block breaks lines only at "\n".
+        breaks = raw.count("\n")
+        if ints is None:
+            ints = _read_by_line(content_lines(raw, 0, line))
+            breaks = len(_BREAK.findall(raw))
+        yield ints
+        start, line = stop, line + breaks
 
 
 def _read_plain(body: str, line: int) -> IntLines | None:
-    """`read_ints` of a plain body by field starts, newline counts and
+    """`read_ints` of a plain block by field starts, newline counts and
     Horner's rule; None if the body is not plain."""
     raw = body.encode("ascii", "replace")   # "?" for every other character
     if raw.translate(None, b"0123456789 \t\n"):
@@ -157,8 +170,9 @@ def _read_plain(body: str, line: int) -> IntLines | None:
     longest = int(lengths.max(initial=0))
     if longest > SHORT_FIELD:
         return None
-    row = np.searchsorted(np.flatnonzero(codes == ord("\n")), starts)
-    firsts = np.flatnonzero(np.diff(row, prepend=-1))
+    row = np.cumsum(codes == ord("\n"))[starts]     # newlines before each field
+    fields = np.bincount(row)                       # fields on each line
+    counts = fields[fields > 0]
 
     # Horner's rule over the first j digits of every field at once.
     digit = np.concatenate((digit, np.zeros(SHORT_FIELD, np.uint8)))
@@ -167,13 +181,12 @@ def _read_plain(body: str, line: int) -> IntLines | None:
         more = lengths > j
         values *= np.where(more, 10, 1)
         values += digit[starts + j] * more
-    counts = np.diff(firsts, append=len(starts))
-    return IntLines(lines=row[firsts] + line, firsts=firsts, counts=counts,
-                    ok=np.ones(len(firsts), bool), values=values)
+    return IntLines(lines=np.flatnonzero(fields) + line, firsts=np.cumsum(counts) - counts,
+                    counts=counts, ok=np.ones(len(counts), bool), values=values)
 
 
 def _read_by_line(items: list[tuple[int, str]]) -> IntLines:
-    """`read_ints` of any body's content lines, with one int() per field."""
+    """`read_ints` of any block's content lines, with one int() per field."""
     rows = [[_int_or_none(f) for f in s.split()] for _, s in items]
     counts = np.array([len(row) for row in rows], np.intp)
     values = [0 if v is None else v for row in rows for v in row]

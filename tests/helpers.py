@@ -13,7 +13,7 @@ import numpy as np
 from groupcolour.catalog import parse_cycles
 from groupcolour.colouring import Cover, SchurResult
 from groupcolour.corners import PairSet
-from groupcolour.errors import ParseError, SizeLimitError, ValidationError, long_digits
+from groupcolour.errors import SHORT_FIELD, ParseError, SizeLimitError, ValidationError, long_digits
 from groupcolour.groups import DEFAULT_MAX_ORDER, ConjugacyData, ElementSet, GroupTable
 
 
@@ -603,6 +603,36 @@ def naive_parse_pairs_text(text: str, source: str = "<input>") -> PairSet:
             raise ParseError(f"pair ({x},{y}) out of range 0..{n - 1}", source, no, 1)
         matrix[x, y] = True
     return PairSet(matrix)
+
+
+def naive_parse_cover_text(text: str, source: str = "<input>") -> Cover:
+    """The cover parser with one int() per field, line by line."""
+    no, parts, body = naive_split_lines(text, "cover", source)
+    if len(parts) != 3 or parts[0] != "cover":
+        raise ParseError("expected header 'cover <k> <n>'", source, no, 1)
+    if long_digits(parts[2]):
+        raise ParseError(f"cover group order outside 1..{DEFAULT_MAX_ORDER}", source, no, 1)
+    if long_digits(parts[1]):
+        raise ParseError(f"cover class count longer than {SHORT_FIELD} digits", source, no, 1)
+    try:
+        k, n = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise ParseError("non-integer sizes in cover header", source, no, 1)
+    if not 1 <= n <= DEFAULT_MAX_ORDER:
+        raise ParseError(f"cover group order {n} outside 1..{DEFAULT_MAX_ORDER}", source, no, 1)
+    if len(body) != k:
+        raise ParseError(f"expected {k} class lines, found {len(body)}", source, no, 1)
+    classes = []
+    for no, s in body:
+        try:
+            idx = [int(v) for v in s.split()]
+        except ValueError:
+            raise ParseError("non-integer element index", source, no, 1)
+        for v in idx:
+            if not 0 <= v < n:
+                raise ParseError(f"element index {v} out of range 0..{n - 1}", source, no, 1)
+        classes.append(ElementSet.from_indices(n, idx))
+    return Cover.of(n, classes)
 
 
 def naive_parse_group_text(text: str, source: str = "<input>") -> GroupTable:

@@ -128,6 +128,16 @@ class TestCoverCheck:
         assert code == 0
         assert out.startswith("avoids=false witness_class=0")
 
+    def test_cover_of_another_order_refused(self, capsys, tmp_path):
+        path = tmp_path / "c.cover"
+        for text, err_line in (("cover 1 24\n0 1 2\n", "cover class has group order 24, "
+                                "group has order 6"),
+                               ("cover 1 6\n0 1 2\n", "classes do not cover G")):
+            path.write_text(text)
+            code, out, err = run(capsys, "cover-check", "symmetric:3",
+                                 "--cover", str(path), "--porcelain")
+            assert (code, out, err) == (1, "", f"error: {err_line}\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "cover-check", "symmetric:3",
                            "--cover", "/nonexistent.cover", "--porcelain")
@@ -188,6 +198,16 @@ class TestWitness:
         assert code == 0
         assert out.startswith("densities=")
         assert "success=" in out
+
+    def test_cover_of_another_order_refused(self, capsys, tmp_path):
+        path = tmp_path / "c.cover"
+        for text, err_line in (("cover 1 3\n0 1 2\n", "cover class has group order 3, "
+                                "group has order 6"),
+                               ("cover 1 6\n0 1 2\n", "classes do not cover G")):
+            path.write_text(text)
+            code, out, err = run(capsys, "witness", "symmetric:3",
+                                 "--cover", str(path), "--porcelain")
+            assert (code, out, err) == (1, "", f"error: {err_line}\n")
 
 
 class TestTrend:

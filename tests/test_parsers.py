@@ -1,5 +1,5 @@
-"""The line-oriented parsers: the bulk integer reader against the per-line
-oracles, fuzzing, and dump/parse round trips."""
+"""The line-oriented parsers: the block integer reader against the per-line
+oracles at any block size, fuzzing, dump/parse round trips and parse peaks."""
 
 import dataclasses
 import tracemalloc
@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from groupcolour import catalog, errors
 from groupcolour.catalog import dump_group, parse_group_text
-from groupcolour.colouring import dump_cover, parse_cover_text, random_cover
+from groupcolour.colouring import Cover, dump_cover, parse_cover_text, random_cover
 from groupcolour.corners import dump_pairs, parse_pairs_text, random_pairs
-from groupcolour.errors import GroupColourError, read_ints, split_lines
+from groupcolour.errors import (GroupColourError, IntLines, content_lines, read_header,
+                                read_ints)
 
-from helpers import naive_parse_group_text, naive_parse_pairs_text, naive_split_lines
+from helpers import (naive_parse_cover_text, naive_parse_group_text, naive_parse_pairs_text,
+                     naive_split_lines)
 
 GROUPS = catalog.catalog_groups(64)
 SMALL = [g for g in GROUPS if g.order <= 6]
@@ -101,11 +103,28 @@ def table_texts(draw):
     return draw(file_of(header, lines))
 
 
+@st.composite
+def cover_texts(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 4))
+    header = draw(st.sampled_from([f"cover {k} {n}"] * 6 + [
+        f"cover {k + 1} {n}", f"cover {k} 0", f"cover {k} 5041", f"cover x {n}", f"cover {k}",
+        "cover " + "9" * 19 + f" {n}", f"covers {k} {n}"]))
+    rows = []
+    for _ in range(k):
+        size = draw(st.integers(1, 4))
+        rows.append(draw(line_of([field(draw, draw(st.integers(0, n - 1) | st.integers(-1, n)))
+                                  for _ in range(size)])))
+    return draw(file_of(header, rows))
+
+
 def outcome(parse, text):
     try:
         result = parse(text)
     except GroupColourError as exc:
         return type(exc).__name__, str(exc)
+    if isinstance(result, Cover):
+        return "cover", result
     if hasattr(result, "matrix"):
         return "pairs", result.matrix.tobytes(), result.n
     return "group", result.mul_array.tolist(), result.inv, result.identity, result.name
@@ -114,7 +133,7 @@ def outcome(parse, text):
 @settings(max_examples=150, deadline=None)
 @given(pairs_texts())
 @example("pairs 3\r\n0 1\r\n\r\n2 2 # c\r\n")
-@example("pairs 4\n1 2\n0 9\n0 x\n")         # out of range on the earlier line wins
+@example("pairs 4\n1 2\n0 9\n0 x\n")                      # out of range on the earlier line wins
 @example("pairs 4\n1 2 3\n0 x\n")
 @example("pairs 4\n0 " + "9" * 30 + "\n")
 def test_pairs_reader_matches_line_parser(text):
@@ -135,14 +154,58 @@ def test_table_reader_matches_line_parser(text):
 @given(st.text())
 @example("\r\n# a\r\nh 1 # b\r\n\r\nx\x0by\x85z ")
 def test_split_lines_matches_line_loop(text):
+    # read_header and content_lines, the line split of every reader.
     try:
         expected = naive_split_lines(text, "t", "f")
     except GroupColourError as exc:
         with pytest.raises(type(exc)) as info:
-            split_lines(text, "t", "f")
+            read_header(text, "t", "f")
         assert str(info.value) == str(exc)
         return
-    assert split_lines(text, "t", "f") == expected
+    no, fields, rest = read_header(text, "t", "f")
+    assert (no, fields, content_lines(text, rest, no + 1)) == expected
+
+
+PARSERS_AND_ORACLES = [(parse_pairs_text, naive_parse_pairs_text),
+                       (parse_group_text, naive_parse_group_text),
+                       (parse_cover_text, naive_parse_cover_text)]
+PLAIN_PAIRS = "pairs 9\n" + "".join(f"{x} {y}\n" for x in range(9) for y in range(0, 9, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64), st.one_of(pairs_texts(), table_texts(), cover_texts()))
+@example(5, "pairs 3\r\n0 1\r\n2 2\r\n")                  # a CRLF at each block end
+@example(4, "pairs 3\n0 1\r\n2 2\r\n1 1\n")
+@example(3, "table 2\n# c\n\n  # d\n0 1\n#\n1 0\n# e")    # comment-only lines
+@example(2, "cover 2 3\n#\n0 1\n# x y\n2\n")
+@example(16, PLAIN_PAIRS + "+5 1\n0 0\n9 1\n")            # a fallback after plain blocks
+@example(16, PLAIN_PAIRS + "0 1\r2 2\n3 9\n")
+@example(16, PLAIN_PAIRS.replace("\n", "\r\n") + "\r" + "1 2\x0b3 x\n")
+@example(8, "cover 3 9\n0 1 2\n3 4 5\n6 +7 8\n9 0\n")
+@example(8, "table 2\n0 " + "9" * 30 + "\n1 0\n")         # an entry past int64
+@example(1, "table 2\n0 5\n1 x\n")                        # a line error beats a range error
+@example(1, "table 2\n0 x\n1 0\n0 1\n")                   # the row count beats a line error
+@example(1, "cover 1 3\n0 x\n1 2\n")                      # the class count beats an entry error
+@example(1, "cover 2 3\n0 1\n3 x\n")
+@example(1, "cover 1 3\n0 1 5 9 -1\n")
+@example(64, "pairs 3\n")                                 # an empty body
+@example(1, "table 1\n")
+@example(1, "cover 0 2\n")
+def test_blocks_match_line_parsers(block, text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(errors, "_BLOCK_CHARS", block)
+        for parse, naive in PARSERS_AND_ORACLES:
+            assert outcome(parse, text) == outcome(naive, text), parse.__name__
+
+
+def joined(blocks) -> IntLines:
+    """The blocks of `read_ints` as one IntLines."""
+    parts = [next(read_ints(" ", 0, 1)), *blocks]
+    counts = np.concatenate([p.counts for p in parts])
+    return IntLines(lines=np.concatenate([p.lines for p in parts]),
+                    firsts=np.cumsum(counts) - counts, counts=counts,
+                    ok=np.concatenate([p.ok for p in parts]),
+                    values=np.concatenate([p.values for p in parts]))
 
 
 def same_int_lines(a, b) -> bool:
@@ -187,11 +250,11 @@ def plain_bodies(draw):
 @example(("1 " + "9" * 19 + "\n", "+1 " + "9" * 19 + "\n"))
 def test_plain_body_reads_as_line_loop(bodies):
     plain, respelled = bodies
-    by_line = read_ints(respelled, 0, 1)
+    by_line = joined(read_ints(respelled, 0, 1))
     with pytest.MonkeyPatch.context() as mp:
         if max(map(len, plain.split()), default=0) <= 18:
             mp.setattr(errors, "content_lines", no_line_loop)
-        assert same_int_lines(read_ints(plain, 0, 1), by_line)
+        assert same_int_lines(joined(read_ints(plain, 0, 1)), by_line)
 
 
 def no_line_loop(*args):
@@ -206,6 +269,8 @@ def test_written_files_are_plain(monkeypatch):
         for density in (0.0, 0.5, 1.0):
             a = random_pairs(g.order, seed=g.order, density=density)
             assert parse_pairs_text(dump_pairs(a)) == a
+        cover = random_cover(g, 3, seed=g.order, overlap=0.25)
+        assert parse_cover_text(dump_cover(cover)) == cover
     a = random_pairs(343, seed=0, density=0.25)
     assert parse_pairs_text(dump_pairs(a)) == a
 
@@ -266,3 +331,32 @@ def test_memory_parse_pairs():
         tracemalloc.stop()
     assert a.size == np.count_nonzero(random_pairs(343, seed=0, density=0.25).matrix)
     assert peak < 6 * 2 ** 20
+
+
+def parse_peak(parse, text):
+    """The parse of `text` and its tracemalloc peak in MiB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = parse(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2 ** 20
+
+
+def test_pairs_parse_peak_on_order_2000():
+    # A 17 MB file: the parse holds the n x n matrix and one block.
+    a = random_pairs(2000, seed=0, density=0.5)
+    result, peak = parse_peak(parse_pairs_text, dump_pairs(a))
+    assert result == a
+    assert peak < 16
+
+
+def test_table_parse_peak_on_order_2000():
+    # A 17 MB file: the parse holds two uint16 tables, a validation block and
+    # one read block.
+    g = catalog.resolve_groupspec("cyclic:2000")
+    result, peak = parse_peak(parse_group_text, dump_group(g))
+    assert np.array_equal(result.mul_array, g.mul_array)
+    assert peak < 64
