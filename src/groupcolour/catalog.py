@@ -255,7 +255,7 @@ def parse_group_text(text: str, source: str = "<input>") -> GroupTable:
     # The row count is checked before any entry and every line before any
     # entry's range, as at a read of the whole body, so the first error of
     # each kind is kept until every block is counted.  An entry out of range
-    # is kept out of the table, which needs only from_cayley_table's dtype.
+    # is kept out of the table, which the group keeps without a copy.
     table = np.zeros((size, size), np.min_scalar_type(size))
     rows, last, error, stray = 0, no, None, None
     for body in read_ints(text, rest, no + 1):
@@ -282,7 +282,7 @@ def parse_group_text(text: str, source: str = "<input>") -> GroupTable:
         raise ParseError(f"expected {size} table rows, found {rows}", source, last, 1)
     if error is not None or stray is not None:
         raise error or stray
-    return groups.from_cayley_table(table, name=f"table<{size}>")
+    return groups._checked_table(table, name=f"table<{size}>")
 
 
 def load_group(path: str) -> GroupTable:
@@ -293,9 +293,11 @@ def load_group(path: str) -> GroupTable:
 
 
 def dump_group(g: GroupTable) -> str:
+    """The table format, written one row at a time from a table of labels."""
+    labels = np.array([str(v) for v in range(g.order)], dtype=object)
     lines = [f"table {g.order}"]
-    for row in g.mul_array.tolist():
-        lines.append(" ".join(str(v) for v in row))
+    for row in g.mul_array:
+        lines.append(" ".join(labels[row].tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -99,13 +99,24 @@ class PairSet:
         return zip(xs.tolist(), ys.tolist())
 
 
+# random_pairs draws about this many cells at a time, in whole rows.
+_DRAW_CELLS = 1 << 14
+
+
 def random_pairs(n: int, seed: int = 0, density: float = 0.5) -> PairSet:
-    # One rng.random() per cell in row-major order, drawn one row at a time:
-    # seeded sets are fixed.
+    # One rng.random() per cell in row-major order, so seeded sets are fixed.
+    # random() builds its double from two Mersenne Twister words, and
+    # getrandbits hands out the same words in order, lowest first, so a
+    # block of rows takes its doubles from one getrandbits call.
     rng = random.Random(seed)
     matrix = np.empty((n, n), dtype=bool)
-    for row in matrix:
-        row[:] = np.fromiter(iter(rng.random, None), dtype=np.float64, count=n) < density
+    step = max(1, _DRAW_CELLS // max(n, 1))
+    for start in range(0, n, step):
+        block = matrix[start:start + step]
+        k = block.size
+        w = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u4")
+        doubles = ((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+        block[:] = (doubles < density).reshape(block.shape)
     return PairSet(matrix)
 
 
@@ -353,10 +364,11 @@ def load_pairs(path: str) -> PairSet:
 
 
 def dump_pairs(a: PairSet) -> str:
-    """The pairs format, written one row x at a time."""
+    """The pairs format, written one row x at a time from a table of labels."""
+    labels = np.array([str(y) for y in range(a.n)], dtype=object)
     rows = [f"pairs {a.n}\n"]
     for x, row in enumerate(a.matrix):
-        ys = np.flatnonzero(row).tolist()
+        ys = labels[row].tolist()
         if ys:
-            rows.append(f"{x} " + f"\n{x} ".join(map(str, ys)) + "\n")
+            rows.append(f"{x} " + f"\n{x} ".join(ys) + "\n")
     return "".join(rows)

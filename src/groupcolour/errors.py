@@ -122,7 +122,7 @@ class IntLines:
 
 
 # read_ints reads a body in blocks of about this many characters, each cut
-# just after a "\n", so a parse holds the text, its result and one block.
+# just after a line break, so a parse holds the text, its result and one block.
 _BLOCK_CHARS = 1 << 14
 
 
@@ -136,11 +136,13 @@ def read_ints(text: str, start: int, line: int) -> Iterator[IntLines]:
     most 18 digits, is read by array operations over all its characters at
     once; every file that `dump_pairs`, `dump_group` and `dump_cover` write
     is plain.  Every other block is read by `content_lines` with one int()
-    per field.  A block ends in a "\n", which ends a line either way, so
-    both readers see the same lines as a read of the whole body.
+    per field.  A block ends just after a line break ("\r\n" is never
+    split), which ends a line either way, so both readers see the same lines
+    as a read of the whole body.
     """
     while start < len(text):
-        stop = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        brk = _BREAK.search(text, start + _BLOCK_CHARS - 1)
+        stop = brk.end() if brk else len(text)
         raw = text[start:stop]
         body = raw.replace("\r\n", "\n")
         if "#" in body:

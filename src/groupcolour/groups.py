@@ -223,7 +223,14 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray, name: str = "
     n = len(table)
     if n == 0:
         raise ValidationError("empty table")
-    m = np.array(_entries(table, n), dtype=np.min_scalar_type(n), order="C")
+    return _checked_table(np.array(_entries(table, n), dtype=np.min_scalar_type(n), order="C"),
+                          name)
+
+
+def _checked_table(m: np.ndarray, name: str) -> GroupTable:
+    """`from_cayley_table` of its own copy `m`: an n x n C-order array of
+    dtype min_scalar_type(n), entries in 0..n-1, which is frozen and kept."""
+    n = len(m)
     m.flags.writeable = False
     ar = np.arange(n)
 

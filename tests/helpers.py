@@ -211,6 +211,14 @@ def naive_dump_pairs(n: int, rows: tuple[int, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def naive_dump_group(g: GroupTable) -> str:
+    """The table file of g, with one str() per entry."""
+    lines = [f"table {g.order}"]
+    for row in g.mul_array.tolist():
+        lines.append(" ".join(str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def naive_is_associative(table) -> bool:
     """(ab)c == a(bc) for every triple, by exhaustive O(n^3) loop."""
     n = len(table)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groupcolour import catalog
+from groupcolour import catalog, corners
 from groupcolour.colouring import Cover, count_quadruples, random_cover
 from groupcolour.corners import (
     PairSet,
@@ -106,6 +107,40 @@ class TestCornerCounts:
         finally:
             tracemalloc.stop()
         assert peak < 32 * n * n
+
+
+# Blocks of 1..64 cells: one row or several, the last block partial.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.integers(1, 40),
+    st.sampled_from([0, -3, 2 ** 32, 2 ** 64 + 5]),
+    st.sampled_from([0, 1, 1.1, -0.5, float("nan")]) | st.floats(0, 1),
+)
+@example(64, 5, 0, 0.5)
+@example(1, 40, 2 ** 64 + 5, 0.5)
+@example(3, 1, 0, 0)            # n = 1, empty and full
+@example(3, 1, 0, 1)
+@example(7, 6, -3, 0)
+@example(7, 6, -3, 1)
+def test_blocked_draws_match_cell_loop(cells, n, seed, density):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corners, "_DRAW_CELLS", cells)
+        a = random_pairs(n, seed=seed, density=density)
+    assert a.rows == naive_random_rows(n, seed, density)
+    assert dump_pairs(a) == naive_dump_pairs(n, a.rows)
+
+
+# The first 16 hex digits of the sha256 of each seeded pairs file, as the
+# one-draw-per-call writer made them.
+@pytest.mark.parametrize("n, seed, density, digest", [
+    (343, 0, 0.25, "b16018c53ca7e71c"),
+    (120, 3, 0.5, "55916c7b139a65e2"),
+    (5040, 1, 0.01, "bd4d19505c08ca97"),
+])
+def test_seeded_pair_files_are_fixed(n, seed, density, digest):
+    text = dump_pairs(random_pairs(n, seed=seed, density=density))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 # GROUPS[0] is the trivial group; density 1 fills every cell.
