@@ -48,13 +48,18 @@ def _cyclic(n: int) -> GroupTable:
     if n < 1:
         raise ValidationError("cyclic order must be >= 1")
     _check_order("cyclic", n)
-    return groups.from_cayley_table(_add_mod(n, 1), name=f"C{n}")
+    # _add_mod's dtype is wider than min_scalar_type(n) for n = 128..255.
+    table = _add_mod(n, 1).astype(np.min_scalar_type(n), copy=False)
+    return groups._checked_table(table, name=f"C{n}")
 
 
 def _add_mod(n: int, sign: int) -> np.ndarray:
-    """The n x n array of (i + sign*j) mod n, sign = 1 or -1."""
+    """The n x n array of (i + sign*j) mod n, sign = 1 or -1, in dtype
+    min_scalar_type(2n)."""
     ar = np.arange(n, dtype=np.min_scalar_type(2 * n))
-    return (ar[:, None] + (ar if sign > 0 else n - ar)) % n
+    table = ar[:, None] + (ar if sign > 0 else n - ar)
+    table %= n
+    return table
 
 
 def _dihedral(n: int) -> GroupTable:
@@ -69,7 +74,7 @@ def _dihedral(n: int) -> GroupTable:
     table[:n, n:] = add + n          # r^i * r^j s
     table[n:, :n] = sub + n          # r^i s * r^j
     table[n:, n:] = sub              # r^i s * r^j s
-    return groups.from_cayley_table(table, name=f"D{n}")
+    return groups._checked_table(table, name=f"D{n}")
 
 
 def _symmetric(n: int) -> GroupTable:
@@ -108,7 +113,7 @@ def _quaternion8() -> GroupTable:
     x = np.arange(8, dtype=np.uint8)
     u, s = x[:, None] >> 1, x[:, None] & 1
     table = 2 * (u ^ u.T) + (s ^ s.T ^ _Q8_NEG[u, u.T])
-    return groups.from_cayley_table(table, name="Q8")
+    return groups._checked_table(table, name="Q8")
 
 
 def _heisenberg(p: int) -> GroupTable:
@@ -122,7 +127,7 @@ def _heisenberg(p: int) -> GroupTable:
     dtype = np.min_scalar_type(n)
     table = (((a + a2) % p * p * p).astype(dtype) + ((b + b2) % p * p).astype(dtype)
              + ((c + c2 + a * b2) % p).astype(dtype))
-    return groups.from_cayley_table(table.reshape(n, n), name=f"Heis{p}")
+    return groups._checked_table(table.reshape(n, n), name=f"Heis{p}")
 
 
 # name -> (builder, number of integer parameters, `catalog` line)

@@ -13,7 +13,9 @@ in class 0, and each new class index first appears in element order.
 Equivalently, k(G) + 1 is the chromatic number of the 4-uniform hypergraph
 whose edges are the sets {x, y, xy, yx} with xy != yx.  The search builds
 that edge table once and, since every class it keeps already avoids, checks
-only the quadruples through the newly placed element.
+only the quadruples whose largest member is the newly placed element:
+elements are placed in order, so every other quadruple through it still has
+a member that no class holds.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from .stats import is_abelian
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 # The search recurses once per element and its edge table grows about as
-# |G|^3, so it is refused past 6!, where S6 still searches.
+# |G|^3 (each edge stored once, at its largest member), so it is refused
+# past 6!, where S6 still searches: 254,100 edges, and `schur symmetric:6
+# --budget 100000` takes about 0.4 s at 103 MiB max RSS.
 SCHUR_MAX_ORDER = 720
 
 
@@ -146,18 +150,20 @@ class _Budget(Exception):
 
 def _edge_masks(g: GroupTable) -> tuple[tuple[int, ...], ...]:
     """Per element v, the sorted distinct masks of the other three members of
-    every hyperedge {x, y, xy, yx} with xy != yx that contains v.
+    every hyperedge {x, y, xy, yx} with xy != yx whose largest member is v.
 
-    The four members of an edge are distinct, and central elements lie in no
-    edge.  The pair (y, x) gives the same edge as (x, y), so x < y suffices.
+    Each edge is stored once, so every mask stored for v lies below 1 << v.
+    The four members of an edge are distinct, and central elements lie in
+    no edge.  The pair (y, x) gives the same edge as (x, y), so x < y
+    suffices.
     """
     m = g.mul_array
     xs, ys = np.nonzero(np.triu(m != m.T, 1))
     others: list[set[int]] = [set() for _ in range(g.order)]
     for x, y, p, q in zip(xs.tolist(), ys.tolist(), m[xs, ys].tolist(), m[ys, xs].tolist()):
         edge = (1 << x) | (1 << y) | (1 << p) | (1 << q)
-        for v in (x, y, p, q):
-            others[v].add(edge ^ (1 << v))
+        top = edge.bit_length() - 1
+        others[top].add(edge ^ (1 << top))
     return tuple(tuple(sorted(s)) for s in others)
 
 
@@ -166,10 +172,12 @@ def _search_partition(others: tuple[tuple[int, ...], ...], m: int,
     """First avoiding partition into at most m classes, canonical order.
 
     others is the edge table of _edge_masks.  Every stored class mask
-    avoids, so v may join a class iff no edge through v has its other three
-    members in the class.  budget is a single-element list counting
-    remaining partition extensions; raises _Budget when exhausted.  stats
-    accumulates [nodes, prunes].
+    avoids and holds only elements below v, so v may join a class iff no
+    edge whose largest member is v has its other three members in the
+    class; an edge with a member above v cannot lie in any class yet.
+    budget is a single-element list counting remaining partition
+    extensions; raises _Budget when exhausted.  stats accumulates
+    [nodes, prunes].
     """
     n = len(others)
     masks = [0] * m

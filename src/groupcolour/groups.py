@@ -228,8 +228,9 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray, name: str = "
 
 
 def _checked_table(m: np.ndarray, name: str) -> GroupTable:
-    """`from_cayley_table` of its own copy `m`: an n x n C-order array of
-    dtype min_scalar_type(n), entries in 0..n-1, which is frozen and kept."""
+    """`from_cayley_table` without the copy, for an array `m` that the
+    caller built and hands over: an n x n C-order array of dtype
+    min_scalar_type(n), entries in 0..n-1, which is frozen and kept."""
     n = len(m)
     m.flags.writeable = False
     ar = np.arange(n)
@@ -358,7 +359,7 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     gpart = g.mul_array.astype(dtype) * h.order
     hpart = h.mul_array.astype(dtype)
     table = (gpart[:, None, :, None] + hpart[None, :, None, :]).reshape(n, n)
-    return from_cayley_table(table, name=f"{g.name}x{h.name}")
+    return _checked_table(table, name=f"{g.name}x{h.name}")
 
 
 def conjugacy(g: GroupTable) -> ConjugacyData:

@@ -386,6 +386,26 @@ def naive_edge_masks(g: GroupTable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(s)) for s in others)
 
 
+def assert_top_edge_table(g: GroupTable, table, full) -> None:
+    """table (from `_edge_masks`) stores each edge of the full per-element
+    table `full` (from `naive_edge_masks`) once, at its largest member:
+    table[v] is the sorted masks of full[v] with every member below v, every
+    edge appears exactly once, and central elements have none."""
+    assert len(table) == len(full) == g.order
+    stored = []
+    for v, (masks, through) in enumerate(zip(table, full)):
+        assert masks == tuple(o for o in through if o >> v == 0)
+        stored += (o | 1 << v for o in masks)
+    assert len(stored) == len(set(stored))
+    assert set(stored) == {o | 1 << v for v, through in enumerate(full) for o in through}
+    m = g.mul_array
+    for v in range(g.order):
+        central = bool((m[v] == m[:, v]).all())
+        assert bool(full[v]) != central
+        if central:
+            assert table[v] == ()
+
+
 # The loop forms of group construction and of the line-oriented parsers,
 # kept as oracles for the array and bulk versions in the library.
 

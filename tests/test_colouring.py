@@ -22,8 +22,10 @@ from groupcolour.groups import ElementSet, all_subgroups, conjugacy
 from groupcolour.stats import commuting_probability, is_abelian
 
 from helpers import (
+    assert_top_edge_table,
     class_has_noncommuting_quadruple,
     naive_avoiding_partitions,
+    naive_edge_masks,
     naive_quadruples,
     naive_schur_number,
 )
@@ -178,6 +180,17 @@ class TestSchurNumber:
         assert (res.k_value, res.complete, res.nodes, res.prunes) == (1, False, 50_001, 24_995)
         assert res.avoiding_colouring is None
 
+    @pytest.mark.parametrize("spec,budget,prunes", [
+        ("symmetric:5", 2_000_000, 999_993),
+        ("symmetric:6", 100_000, 49_987),
+    ])
+    def test_large_budget_counters(self, spec, budget, prunes):
+        # Values of a search that checks every edge through each placed
+        # element, which stops at node budget + 1.
+        res = schur_number(catalog.resolve_groupspec(spec), budget=budget)
+        assert (res.k_value, res.complete, res.nodes, res.prunes) == (1, False, budget + 1, prunes)
+        assert res.avoiding_colouring is None
+
 
 class TestEdgeMasks:
     @pytest.mark.parametrize(
@@ -189,19 +202,13 @@ class TestEdgeMasks:
             if p != q:
                 for v in (x, y, p, q):
                     expected[v].add(sum(1 << u for u in {x, y, p, q} - {v}))
+        full = naive_edge_masks(g)
+        assert full == tuple(tuple(sorted(s)) for s in expected)
         others = _edge_masks(g)
-        assert len(others) == g.order
-        center = {v for v in range(g.order)
-                  if (g.mul_array[v] == g.mul_array[:, v]).all()}
-        for v, masks in enumerate(others):
-            assert masks == tuple(sorted(expected[v]))
+        assert_top_edge_table(g, others, full)
+        for masks in others:
             for o in masks:
                 assert o.bit_count() == 3
-                assert not (o >> v) & 1
-            if v in center:
-                assert masks == ()
-            else:
-                assert masks
 
 
 @settings(max_examples=30, deadline=None)

@@ -32,6 +32,7 @@ def assert_same_group(g, h):
     assert g.mul_array.dtype == h.mul_array.dtype
     assert np.array_equal(g.mul_array, h.mul_array)
     assert not g.mul_array.flags.writeable
+    assert g.mul_array.flags.c_contiguous
 
 
 def test_catalog_matches_loop_builders(monkeypatch):
@@ -188,3 +189,12 @@ def test_memory_build(name, param):
     # an int64 broadcast or an n^2 x degree temporary would break the bound.
     n = catalog.builtin(name, [param]).order
     assert traced_peak(lambda: catalog.builtin(name, [param])) < 64 * n * n
+
+
+@pytest.mark.parametrize("spec,mib", [("cyclic:2000", 18), ("dihedral:1000", 20),
+                                      ("symmetric:3^4", 11)])
+def test_builders_keep_their_table(spec, mib):
+    # The builders hand their own array to the checks: one 7.6 MiB uint16
+    # table at order 2000 (3.2 MiB for S3^4) plus the check temporaries, and
+    # no second copy of it.
+    assert traced_peak(lambda: catalog.resolve_groupspec(spec)) < mib * 2 ** 20
